@@ -7,8 +7,10 @@ Exit codes are a stable scripting contract: 0 success, 1 domain negative
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
+import string
 import sys
 import time
 from fractions import Fraction
@@ -41,14 +43,36 @@ def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _is_hex(text: str) -> bool:
+    return bool(text) and set(text) <= set(string.hexdigits)
+
+
+def _target_hex(text: str) -> int:
+    """A nonzero target of at most 64 hex digits, without prefix or sign."""
+    if not _is_hex(text) or len(text) > 64 or int(text, 16) == 0:
+        raise argparse.ArgumentTypeError(
+            f"target must be a nonzero hex number of at most 64 digits, got {text!r}")
+    return int(text, 16)
+
+
+def _nbits_hex(text: str) -> int:
+    if not _is_hex(text) or len(text) != 8:
+        raise argparse.ArgumentTypeError(f"nbits must be 8 hex digits, got {text!r}")
+    return int(text, 16)
+
+
 def _resolve_target(args, template_target, nbits) -> int:
-    if getattr(args, "target", None):
-        target = int(args.target, 16)
-        if not 0 < target < 1 << 256:
-            raise ValueError("target out of range")
-        return target
-    if getattr(args, "nbits", None):
-        return hdr.decode_nbits(int(args.nbits, 16))
+    if args.target is not None:
+        return args.target
+    if args.nbits is not None:
+        return hdr.decode_nbits(args.nbits)
     if template_target is not None:
         return template_target
     return hdr.decode_nbits(nbits)
@@ -121,10 +145,8 @@ def cmd_mine(args) -> int:
 def cmd_verify(args) -> int:
     block_header = hdr.header_from_hex(args.header)
     raw = hdr.serialize_header(block_header)
-    if args.target:
-        target = int(args.target, 16)
-        if not 0 < target < 1 << 256:
-            raise ValueError("target out of range")
+    if args.target is not None:
+        target = args.target
     else:
         target = hdr.decode_nbits(block_header.nbits)
     digest = sha.sha256d(raw)  # reference path only
@@ -151,11 +173,13 @@ def cmd_bench(args) -> int:
 
     work = kern.prepare_header_work(raw, target)
     t0 = time.perf_counter()
-    fast = kern.scan(work, lo, hi, threads=args.threads, chunk=args.chunk)
+    fast = kern.scan(work, lo, hi, threads=args.threads, chunk=args.chunk,
+                     improvements=improvements)
     fast_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    slow = kern.scan_naive(raw, target, lo, hi, chunk=args.chunk)
+    slow = kern.scan(work, lo, hi, threads=args.threads, chunk=args.chunk,
+                     improvements=costs.ImprovementSet.none())
     slow_s = time.perf_counter() - t0
 
     predicted = costs.compression_equivalents(improvements)
@@ -292,10 +316,12 @@ def cmd_energy(args) -> int:
 
 
 def cmd_retarget_sim(args) -> int:
-    if args.target:
-        target = int(args.target, 16)
+    if args.target is not None:
+        target = args.target
+    elif args.nbits is not None:
+        target = hdr.decode_nbits(args.nbits)
     else:
-        target = hdr.decode_nbits(int(args.nbits, 16))
+        raise ValueError("retarget-sim needs --nbits or --target")
     clamp = None if args.clamp == 0 else args.clamp
     spans = [_parse_int(s) for s in args.spans.split(",")]
     if args.format == "csv":
@@ -326,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     p.add_argument("--template", help="work template file (key: value document)")
     p.add_argument("--header", help="160-char header hex (nonce field ignored)")
-    p.add_argument("--target", help="64-char target hex override")
-    p.add_argument("--nbits", help="8-char compact target hex override")
+    p.add_argument("--target", type=_target_hex, help="target hex override")
+    p.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
@@ -338,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a solved header via the reference path")
     p.add_argument("--header", required=True)
-    p.add_argument("--target", help="64-char target hex override")
+    p.add_argument("--target", type=_target_hex, help="target hex override")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="optimized versus naive throughput")
+    p = sub.add_parser("bench", help="an improvement set's throughput versus the naive pipeline")
     p.add_argument("--count", type=_parse_int, required=True)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--set", default="full", help="improvement flags, e.g. 1,2,3 or full")
+    p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
     p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
     p.add_argument("--chunk", type=_parse_int, default=kern.DEFAULT_CHUNK)
     add_format(p)
@@ -375,17 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adders)
 
     p = sub.add_parser("energy", help="fleet electricity cost and savings")
-    p.add_argument("--power-per-ghs", type=float, required=True, help="watts per GH/s")
-    p.add_argument("--rate-ghs", type=float, required=True, help="fleet rate in GH/s")
-    p.add_argument("--price-per-kwh", type=float, required=True)
-    p.add_argument("--fraction", type=float, default=None,
+    p.add_argument("--power-per-ghs", type=_finite_float, required=True, help="watts per GH/s")
+    p.add_argument("--rate-ghs", type=_finite_float, required=True, help="fleet rate in GH/s")
+    p.add_argument("--price-per-kwh", type=_finite_float, required=True)
+    p.add_argument("--fraction", type=_finite_float, default=None,
                    help="cost fraction saved (default: full improvement set)")
     add_format(p)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("retarget-sim", help="difficulty retarget walk-through")
-    p.add_argument("--nbits", help="8-char compact target hex start")
-    p.add_argument("--target", help="64-char target hex start")
+    p.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex start")
+    p.add_argument("--target", type=_target_hex, help="target hex start")
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
     p.add_argument("--expected", type=_parse_int, default=2016 * 600)
     p.add_argument("--clamp", type=int, default=4, help="0 disables clamping")

@@ -1,48 +1,57 @@
-"""Optimized double-SHA-256 nonce scanner.
+"""Double-SHA-256 nonce scanner: one lane pipeline, switched by improvement flags.
 
 Hashing an 80-byte header costs three compression functions when done
 naively: two for the 640-bit first hash, one for the 256-bit second hash.
-This scanner removes most of that work while staying bit-identical to the
-reference pipeline in :mod:`minerlab.sha256`:
+Every scan runs one vectorized pipeline whose steps a
+:class:`~minerlab.costs.ImprovementSet` selects.  With no flags it is the
+by-the-book three-compression miner; with every flag it is the 121/64
+pipeline.  Whatever the set, results are bit-identical to the reference in
+:mod:`minerlab.sha256`.  Each flag switches one step:
 
-* the first compression covers header bytes 0..63 only, so its output (the
-  midstate) is computed once per work item and shared by all 2^32 nonces;
-* the nonce is message word 3 of the second compression, so rounds 0..2
-  are nonce-independent and run once, at preparation time;
-* round 3 is incremental: word 3 enters the round additively in exactly
-  one place, so stepping the nonce by one advances the post-round-3 A and
-  E registers by one each;
-* schedule words W16 and W17 depend only on nonce-independent words and
-  are precomputed; W19 is a precomputed base plus the nonce and steps
-  incrementally; W18 needs one sigma0 of the nonce per step;
-* every round whose message word is a known constant (ten padding zeros
-  and the 0x80000000 marker in the second compression, six zeros and the
-  marker in the third, the two length words, W16, W17) uses a pre-folded
-  constant KW_t = K_t + W_t, one addition less per round;
-* in early-exit mode the third compression stops after round 60: digest
-  word 7 equals the E value produced at round 60 plus the IV constant
-  0x5BE0CD19, and any target below 2^224 accepts only digests whose word 7
-  is zero, so every lane whose round-60 E value differs from
-  0xA41F32E7 = 2^32 - 0x5BE0CD19 is rejected three rounds early.  When the
-  target is below 2^192 word 6 must be zero as well, which pins the E
-  value of round 61 to 0xE07C2655 and rejects stage-1 survivors after one
-  more round.  Survivors (about one in 2^32) are completed and compared
-  exactly.
+* 1: the first compression covers header bytes 0..63 only, so its output
+  (the midstate) is computed once per work item and shared by all 2^32
+  nonces.  Off, every lane recomputes it.
+* 3: the nonce is message word 3 of the second compression, so rounds 0..2
+  are nonce-independent; they run once, at preparation time, and the lanes
+  start at round 3.  Off, the lanes start at round 0.
+* 4: round 3 is incremental: word 3 enters the round additively in exactly
+  one place, so the post-round-3 A and E registers are precomputed bases
+  plus the nonce, and the lanes start at round 4.
+* 7: schedule words W16 and W17 depend only on nonce-independent words and
+  are precomputed; W18 is a precomputed base plus one sigma0 of the nonce.
+  Off, the lanes run the schedule recurrence for them.
+* 8: W19 is a precomputed base plus the nonce.  Off, the recurrence.
+* 5 and 6: every round whose message word is a known constant adds a
+  pre-folded K_t + W_t, one addition less per round: the zeros and the
+  0x80000000 marker under 5, the two length words under 6, and W16/W17
+  when 7 precomputes them.  Off, W and K are added separately.
+* 2: the third compression stops after round 60: digest word 7 equals the
+  E value produced at round 60 plus the IV constant 0x5BE0CD19, and any
+  target below 2^224 accepts only digests whose word 7 is zero, so every
+  lane whose round-60 E value differs from 0xA41F32E7 = 2^32 - 0x5BE0CD19
+  is rejected three rounds early.  When the target is below 2^192 word 6
+  must be zero as well, which pins the E value of round 61 to 0xE07C2655
+  and rejects stage-1 survivors after one more round.  Survivors (about one
+  in 2^32) are completed and compared exactly.  Off, all 64 rounds run and
+  the full 256-bit comparison decides.
 
-Targets of 2^224 and above (desk-scale difficulty) use generic mode: the
-third compression runs all 64 rounds and the full 256-bit comparison
-decides, with every other optimization still applied.
+Flags X and X2 (carry-save adders) exist only in the gate-level model of
+:mod:`minerlab.costs`; they have no effect on the lanes.
+
+Targets of 2^224 and above (desk-scale difficulty) make flag 2 unsound, so
+generic mode runs the requested set without it.
 
 The per-nonce arithmetic is vectorized over chunks of nonces as numpy
 uint32 lanes.  Candidates that pass the vector filter are re-derived
-through the scalar reference path before being reported, so the optimized
-lanes never act as their own referee.
+through the scalar reference path before being reported, so the lanes
+never act as their own referee.
 
 Cost instrumentation counts block-cipher rounds and reports them in units
-of whole 64-round compressions.  The incremental round 3 is counted as an
+of whole 64-round compressions.  A nonce costs ``costs.executed_rounds(s)``
+rounds, plus one under flag 4: the incremental round 3 is counted as an
 executed round (61 rounds per compression, not 60), matching the
 convention that early exit alone brings the per-nonce cost to
-2 * 61/64 = 1.906 compressions; schedule work and feedforward additions
+2 * 61/64 = 1.906 compressions.  Schedule work and feedforward additions
 are not counted separately.
 """
 
@@ -56,6 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sha256 as sha
+from .costs import ImprovementSet, executed_rounds
 from .header import meets_target
 
 MASK32 = 0xFFFFFFFF
@@ -64,10 +74,6 @@ DEFAULT_CHUNK = 1 << 16
 WORD7_TARGET_BOUND = 1 << 224  # early exit sound strictly below this
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
-ROUNDS_PER_NONCE_EARLY = 61 + 61
-ROUNDS_PER_NONCE_GENERIC = 61 + 64
-ROUNDS_PER_NONCE_NAIVE = 3 * 64
-
 # Second-compression constant message words: 0x80000000 marker, ten zeros,
 # and the 640-bit length of the 80-byte header.
 _COMP2_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 640)
@@ -75,18 +81,13 @@ _COMP2_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 640)
 # and the 256-bit length.
 _COMP3_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 256)
 
+# The flag under which each constant-word round adds its folded K+W.
+_FOLD_FLAGS_COMP2 = {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"}
+_FOLD_FLAGS_COMP3 = {**dict.fromkeys(range(8, 15), "5"), 15: "6"}
+_UNFOLDED = (None,) * 64
+
 REJECT_E60 = (1 << 32) - sha.IV.h  # 0xA41F32E7
 REJECT_E61 = (1 << 32) - sha.IV.g  # 0xE07C2655
-
-
-def rejection_constants() -> tuple[int, int]:
-    """The round-60/61 E-register values that zero digest words 7 and 6."""
-    return REJECT_E60, REJECT_E61
-
-
-class NonceRangeExhausted(Exception):
-    """The 32-bit nonce space is spent; new work (a different merkle root
-    or timestamp) is required to continue."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ class PreparedWork:
     """
 
     midstate: sha.State
+    block1: tuple  # header words 0..15, for lanes that recompute the midstate
     w_head: tuple[int, int, int]  # second-compression words 0..2
     state_r3: sha.State  # state entering round 3
     t1_base: int  # h + Sigma1(e) + Ch(e,f,g) + K[3] at round 3
@@ -107,8 +109,6 @@ class PreparedWork:
     w19_base: int  # sigma1(W17) + sigma0(0x80000000); add nonce
     kw_comp2: tuple  # per-round folded K+W, None where W varies
     kw_comp3: tuple
-    reject_e60: int
-    reject_e61: int
     target: int
 
 
@@ -140,9 +140,10 @@ def compute_midstate(header_prefix: bytes) -> sha.State:
     return sha.compress(sha.IV, struct.unpack(">16I", header_prefix))
 
 
-def prepare_work(midstate: sha.State, header_tail: bytes, target: int) -> PreparedWork:
+def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> PreparedWork:
     """Fold all nonce-independent work for one (header, target) pair.
 
+    ``header_prefix`` is header bytes 0..63, the first compression's block.
     ``header_tail`` is header bytes 64..75: the last merkle-root word, the
     timestamp and the compact target, i.e. everything in the nonce-bearing
     block except the nonce itself.
@@ -153,7 +154,7 @@ def prepare_work(midstate: sha.State, header_tail: bytes, target: int) -> Prepar
         raise ValueError("zero target")
     if target >= 1 << 256:
         raise ValueError("target overflows 256 bits")
-    midstate = sha.State(*midstate)
+    midstate = compute_midstate(header_prefix)
     w0, w1, w2 = struct.unpack(">3I", header_tail)
 
     state = midstate
@@ -187,6 +188,7 @@ def prepare_work(midstate: sha.State, header_tail: bytes, target: int) -> Prepar
 
     return PreparedWork(
         midstate=midstate,
+        block1=struct.unpack(">16I", header_prefix),
         w_head=(w0, w1, w2),
         state_r3=state,
         t1_base=t1_base,
@@ -197,8 +199,6 @@ def prepare_work(midstate: sha.State, header_tail: bytes, target: int) -> Prepar
         w19_base=w19_base,
         kw_comp2=tuple(kw_comp2),
         kw_comp3=tuple(kw_comp3),
-        reject_e60=REJECT_E60,
-        reject_e61=REJECT_E61,
         target=target,
     )
 
@@ -207,57 +207,7 @@ def prepare_header_work(header: bytes, target: int) -> PreparedWork:
     """Prepare work directly from serialized header bytes (nonce ignored)."""
     if len(header) not in (76, 80):
         raise ValueError("header must be 76 or 80 bytes")
-    return prepare_work(compute_midstate(header[:64]), header[64:76], target)
-
-
-# ---------------------------------------------------------------------------
-# Incremental per-nonce state (the scalar view of the stepping rule).
-
-
-@dataclass
-class ScannerState:
-    """Work-local incremental state: the two registers round 3 produces
-    from the nonce, plus schedule word W19."""
-
-    work: PreparedWork
-    nonce: int
-    a_r4: int
-    e_r4: int
-    w19: int
-
-
-def start_scan_state(work: PreparedWork, nonce: int) -> ScannerState:
-    if not 0 <= nonce <= MASK32:
-        raise ValueError("nonce out of 32-bit range")
-    t1 = (work.t1_base + nonce) & MASK32
-    return ScannerState(
-        work=work,
-        nonce=nonce,
-        a_r4=(t1 + work.t2_r3) & MASK32,
-        e_r4=(work.state_r3.d + t1) & MASK32,
-        w19=(work.w19_base + nonce) & MASK32,
-    )
-
-
-def step_nonce(state: ScannerState) -> ScannerState:
-    """Advance to the next nonce with three increments.
-
-    Word 3 feeds T1 of round 3 additively and exactly once, so nonce+1
-    shifts both round-3 outputs by one; the same argument on the schedule
-    recurrence steps W19.
-    """
-    if state.nonce >= MASK32:
-        raise NonceRangeExhausted("nonce range exhausted; new work required")
-    state.nonce += 1
-    state.a_r4 = (state.a_r4 + 1) & MASK32
-    state.e_r4 = (state.e_r4 + 1) & MASK32
-    state.w19 = (state.w19 + 1) & MASK32
-    return state
-
-
-def state_after_round3(state: ScannerState) -> sha.State:
-    r3 = state.work.state_r3
-    return sha.State(state.a_r4, r3.a, r3.b, r3.c, state.e_r4, r3.e, r3.f, r3.g)
+    return prepare_work(header[:64], header[64:76], target)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +255,13 @@ def _vlittle_sigma1(x, out, t1, t2):
 class _LaneEngine:
     """Preallocated uint32 lane buffers for one scanning thread."""
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, recompute_midstate: bool = False):
         self.width = width
         mk = lambda: np.zeros(width, dtype=np.uint32)
         self.regs = [mk() for _ in range(8)]
         self.ring = [mk() for _ in range(16)]
-        self.mids = [mk() for _ in range(8)]  # naive pipeline only
+        # per-lane midstates, allocated only for pipelines without flag 1
+        self.mids = [mk() for _ in range(8)] if recompute_midstate else []
         self.t1, self.t2 = mk(), mk()
         self.ta, self.tb, self.tc, self.td = mk(), mk(), mk(), mk()
         self.nonces = mk()
@@ -394,61 +345,24 @@ class _LaneViews:
         for reg, value in zip(self.regs, values):
             reg[:] = value
 
-    # -- optimized pipeline -------------------------------------------------
-
-    def comp2_prepared(self, work: PreparedWork):
-        """Rounds 3..63 of the nonce-bearing compression, round 3 via the
-        incremental rule, then the feedforward into ring slots 0..7."""
-        n = self.nonces
-        regs, ring = self.regs, self.ring
-        r3 = work.state_r3
-        np.add(n, work.t1_base, self.t1)
-        np.add(self.t1, work.t2_r3, regs[0])
-        np.add(self.t1, r3.d, regs[4])
-        regs[1][:] = r3.a
-        regs[2][:] = r3.b
-        regs[3][:] = r3.c
-        regs[5][:] = r3.e
-        regs[6][:] = r3.f
-        regs[7][:] = r3.g
-        for slot, w in enumerate(_COMP2_PAD, start=4):
-            ring[slot][:] = w
-        for t in range(4, 64):
-            if t == 16:
-                ring[0][:] = work.w16
-            elif t == 17:
-                ring[1][:] = work.w17
-            elif t == 18:
-                _vlittle_sigma0(n, self.ta, self.tc, self.td)
-                np.add(self.ta, work.w18_base, ring[2])
-            elif t == 19:
-                np.add(n, work.w19_base, ring[3])
-            elif t > 19:
-                self.sched(t)
-            self.round(work.kw_comp2[t], ring[t & 15], sha.K[t])
-        for i in range(8):
-            np.add(self.regs[i], work.midstate[i], ring[i])
-
-    def comp3(self, kw_table, last_round: int):
-        """Third compression from the IV over ring[0..7] + padding, through
-        ``last_round`` inclusive."""
+    def compress(self, kw_table, first=0, last=63, fixed_words=None):
+        """Rounds ``first``..``last`` from the registers over the message in
+        the ring.  ``kw_table`` holds the folded K+W of each round, None
+        where W and K are added separately; ``fixed_words`` maps a round to
+        a writer that fills its schedule word in place of the recurrence."""
         ring = self.ring
-        for slot, w in enumerate(_COMP3_PAD, start=8):
-            ring[slot][:] = w
-        self.fill_regs(sha.IV)
-        for t in range(last_round + 1):
+        for t in range(first, last + 1):
             if t >= 16:
-                self.sched(t)
-            kw = kw_table[t]
-            self.round(kw, ring[t & 15] if kw is None else None, sha.K[t])
+                if fixed_words and t in fixed_words:
+                    fixed_words[t](ring[t & 15])
+                else:
+                    self.sched(t)
+            self.round(kw_table[t], ring[t & 15], sha.K[t])
 
-    def e_register(self) -> np.ndarray:
-        return self.regs[4]
-
-    def digest_feedforward(self):
-        """Add the IV back in; registers then hold the digest words."""
-        for i in range(8):
-            np.add(self.regs[i], sha.IV[i], self.regs[i])
+    def feedforward(self, base, out):
+        """out[i] = register i + base[i]: the compression's output words."""
+        for reg, add, dst in zip(self.regs, base, out):
+            np.add(reg, add, dst)
 
     def accept_mask(self, target: int) -> np.ndarray:
         """Vector hash < target over the digest words currently in regs.
@@ -470,63 +384,91 @@ class _LaneViews:
             np.logical_and(eq, tmp, eq)
         return lt
 
-    # -- naive pipeline (benchmark referee) ----------------------------------
 
-    def comp1_naive(self, block1_words):
-        """Full first compression, recomputed per lane on purpose."""
-        ring = self.ring
-        for slot, w in enumerate(block1_words):
-            ring[slot][:] = w
-        self.fill_regs(sha.IV)
-        for t in range(64):
-            if t >= 16:
-                self.sched(t)
-            self.round(None, ring[t & 15], sha.K[t])
-        for i in range(8):
-            np.add(self.regs[i], sha.IV[i], self.mids[i])
+def _folded(kw_table, fold_flags, s: ImprovementSet) -> list:
+    """``kw_table`` with the folds whose flag ``s`` lacks undone."""
+    return [kw if fold_flags.get(t) in s else None for t, kw in enumerate(kw_table)]
 
-    def comp2_naive(self, w_head):
-        ring = self.ring
-        ring[0][:] = w_head[0]
-        ring[1][:] = w_head[1]
-        ring[2][:] = w_head[2]
-        np.copyto(ring[3], self.nonces)
-        for slot, w in enumerate(_COMP2_PAD, start=4):
-            ring[slot][:] = w
-        for i in range(8):
-            np.copyto(self.regs[i], self.mids[i])
-        for t in range(64):
-            if t >= 16:
-                self.sched(t)
-            self.round(None, ring[t & 15], sha.K[t])
-        for i in range(8):
-            np.add(self.regs[i], self.mids[i], ring[i])
 
-    def comp3_naive(self):
-        ring = self.ring
-        for slot, w in enumerate(_COMP3_PAD, start=8):
+def _chunk(work: PreparedWork, lanes: _LaneViews, s: ImprovementSet) -> None:
+    """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects.
+
+    Afterwards the registers hold the third compression's state after
+    round 60 under flag 2, and the digest words otherwise.
+    """
+    n, ring = lanes.nonces, lanes.ring
+    midstate = work.midstate
+    if "1" not in s:  # first compression, recomputed per lane
+        for slot, w in enumerate(work.block1):
             ring[slot][:] = w
-        self.fill_regs(sha.IV)
-        for t in range(64):
-            if t >= 16:
-                self.sched(t)
-            self.round(None, ring[t & 15], sha.K[t])
+        lanes.fill_regs(sha.IV)
+        lanes.compress(_UNFOLDED)
+        lanes.feedforward(sha.IV, lanes.mids)
+        midstate = lanes.mids
+
+    # second compression: header tail, nonce, padding
+    for slot, w in enumerate(work.w_head):
+        ring[slot][:] = w
+    np.copyto(ring[3], n)
+    for slot, w in enumerate(_COMP2_PAD, start=4):
+        ring[slot][:] = w
+    if "4" in s:
+        r3 = work.state_r3
+        lanes.fill_regs((0, r3.a, r3.b, r3.c, 0, r3.e, r3.f, r3.g))
+        np.add(n, work.t1_base, lanes.t1)
+        np.add(lanes.t1, work.t2_r3, lanes.regs[0])
+        np.add(lanes.t1, r3.d, lanes.regs[4])
+        first = 4
+    elif "3" in s:
+        lanes.fill_regs(work.state_r3)
+        first = 3
+    else:
+        lanes.fill_regs(midstate)
+        first = 0
+
+    fixed_words = {}
+    if "7" in s:
+
+        def w18(out):
+            _vlittle_sigma0(n, out, lanes.tc, lanes.td)
+            np.add(out, work.w18_base, out)
+
+        fixed_words[16] = lambda out: out.fill(work.w16)
+        fixed_words[17] = lambda out: out.fill(work.w17)
+        fixed_words[18] = w18
+    if "8" in s:
+        fixed_words[19] = lambda out: np.add(n, work.w19_base, out)
+    lanes.compress(_folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s), first, 63, fixed_words)
+    lanes.feedforward(midstate, ring)
+
+    # third compression: the first hash in ring slots 0..7, then padding
+    for slot, w in enumerate(_COMP3_PAD, start=8):
+        ring[slot][:] = w
+    lanes.fill_regs(sha.IV)
+    lanes.compress(_folded(work.kw_comp3, _FOLD_FLAGS_COMP3, s), 0, 60 if "2" in s else 63)
+    if "2" not in s:
+        lanes.feedforward(sha.IV, lanes.regs)
 
 
 # ---------------------------------------------------------------------------
 # Scanning.
 
 
-def _resolve_mode(target: int, mode: str) -> str:
+def _lane_set(target: int, mode: str, improvements: ImprovementSet) -> ImprovementSet:
+    """The set the lanes run: ``mode`` decides only whether flag 2 stays."""
     if mode == "auto":
-        return "early-exit" if target < WORD7_TARGET_BOUND else "generic"
-    if mode == "early-exit":
+        early = "2" in improvements and target < WORD7_TARGET_BOUND
+    elif mode == "early-exit":
+        if "2" not in improvements:
+            raise ValueError("early-exit mode needs improvement 2")
         if target >= WORD7_TARGET_BOUND:
             raise ValueError("early-exit filter unsound for target >= 2^224")
-        return mode
-    if mode == "generic":
-        return mode
-    raise ValueError(f"unknown scan mode {mode!r}")
+        early = True
+    elif mode == "generic":
+        early = False
+    else:
+        raise ValueError(f"unknown scan mode {mode!r}")
+    return improvements if early else ImprovementSet(improvements.flags - {"2"})
 
 
 def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
@@ -548,67 +490,45 @@ class _RangeTally:
     stage2: int = 0
 
 
-def _scan_chunk_early(work, engine, lo: int, m: int, tally: _RangeTally) -> bool:
-    """Scan m nonces from lo in early-exit mode; True when a hit ends the scan."""
-    lanes = engine.views(m)
-    np.add(np.arange(m, dtype=np.uint32), np.uint32(lo), out=lanes.nonces)
-    lanes.comp2_prepared(work)
-    lanes.comp3(work.kw_comp3, last_round=60)
-    survivors = np.nonzero(lanes.e_register() == np.uint32(work.reject_e60))[0]
-
-    stage2_active = work.target < WORD6_TARGET_BOUND
-    for lane in survivors.tolist():
-        digest = complete_nonce(work, lo + lane)
-        if stage2_active:
-            tally.rounds += 1  # round 61 reveals the second constant
-            if int.from_bytes(digest[24:28], "big") != 0:
-                tally.stage1 += 1
-                continue
-            tally.stage2 += 1
-            tally.rounds += 2  # rounds 62..63 finish the compression
-        else:
-            tally.rounds += 3
-        tally.stage1 += 1
-        if meets_target(digest, work.target):
-            tally.found = FoundNonce(lo + lane, digest)
-            tally.consumed += lane + 1
-            tally.rounds += ROUNDS_PER_NONCE_EARLY * (lane + 1)
-            return True
-    tally.consumed += m
-    tally.rounds += ROUNDS_PER_NONCE_EARLY * m
-    return False
-
-
-def _scan_chunk_generic(work, engine, lo: int, m: int, tally: _RangeTally) -> bool:
-    lanes = engine.views(m)
-    np.add(np.arange(m, dtype=np.uint32), np.uint32(lo), out=lanes.nonces)
-    lanes.comp2_prepared(work)
-    lanes.comp3(work.kw_comp3, last_round=63)
-    lanes.digest_feedforward()
-    accept = lanes.accept_mask(work.target)
-    for lane in np.nonzero(accept)[0].tolist():
-        digest = complete_nonce(work, lo + lane)  # scalar referee
-        if meets_target(digest, work.target):
-            tally.found = FoundNonce(lo + lane, digest)
-            tally.consumed += lane + 1
-            tally.rounds += ROUNDS_PER_NONCE_GENERIC * (lane + 1)
-            return True
-    tally.consumed += m
-    tally.rounds += ROUNDS_PER_NONCE_GENERIC * m
-    return False
-
-
-def _scan_range(work, lo, hi, mode, chunk, should_abort=None) -> _RangeTally:
-    engine = _LaneEngine(min(chunk, hi - lo + 1))
+def _scan_range(work, lo, hi, s, chunk, should_abort=None) -> _RangeTally:
+    engine = _LaneEngine(min(chunk, hi - lo + 1), recompute_midstate="1" not in s)
     tally = _RangeTally()
-    step = _scan_chunk_early if mode == "early-exit" else _scan_chunk_generic
+    # the incremental round 3 counts as a round: 61 per compression, not 60
+    per_nonce = executed_rounds(s) + ("4" in s)
+    early = "2" in s
+    stage2_active = work.target < WORD6_TARGET_BOUND
     pos = lo
     while pos <= hi:
         if should_abort is not None and should_abort():
             break
         m = min(chunk, hi - pos + 1)
-        if step(work, engine, pos, m, tally):
-            break
+        lanes = engine.views(m)
+        np.add(np.arange(m, dtype=np.uint32), np.uint32(pos), out=lanes.nonces)
+        _chunk(work, lanes, s)
+        if early:
+            candidates = np.nonzero(lanes.regs[4] == np.uint32(REJECT_E60))[0]
+        else:
+            candidates = np.nonzero(lanes.accept_mask(work.target))[0]
+        for lane in candidates.tolist():
+            digest = complete_nonce(work, pos + lane)  # scalar referee
+            if early:
+                if stage2_active:
+                    tally.rounds += 1  # round 61 reveals the second constant
+                    if int.from_bytes(digest[24:28], "big") != 0:
+                        tally.stage1 += 1
+                        continue
+                    tally.stage2 += 1
+                    tally.rounds += 2  # rounds 62..63 finish the compression
+                else:
+                    tally.rounds += 3
+                tally.stage1 += 1
+            if meets_target(digest, work.target):
+                tally.found = FoundNonce(pos + lane, digest)
+                tally.consumed += lane + 1
+                tally.rounds += per_nonce * (lane + 1)
+                return tally
+        tally.consumed += m
+        tally.rounds += per_nonce * m
         pos += m
     return tally
 
@@ -634,9 +554,13 @@ def scan(
     mode: str = "auto",
     threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
+    improvements: ImprovementSet = ImprovementSet.full(),
 ) -> ScanResult:
     """Scan the inclusive nonce range, returning the smallest qualifying
     nonce if one exists.
+
+    The lanes run the pipeline ``improvements`` selects; ``mode="generic"``
+    (or ``"auto"`` at a target of 2^224 or above) drops flag 2.
 
     The range is split into contiguous subranges when ``threads`` > 1; the
     merge takes the minimum found nonce, so partitioning never changes the
@@ -649,11 +573,11 @@ def scan(
         raise ValueError("empty nonce range")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    mode = _resolve_mode(work.target, mode)
+    s = _lane_set(work.target, mode, improvements)
 
     spans = _partition(nonce_lo, nonce_hi, threads)
     if len(spans) == 1:
-        tallies = [_scan_range(work, nonce_lo, nonce_hi, mode, chunk)]
+        tallies = [_scan_range(work, nonce_lo, nonce_hi, s, chunk)]
     else:
         found_flags = [False] * len(spans)
 
@@ -662,7 +586,7 @@ def scan(
                 # a find in a lower subrange always wins; stop wasting work
                 return any(found_flags[:idx])
 
-            tally = _scan_range(work, span[0], span[1], mode, chunk, should_abort)
+            tally = _scan_range(work, span[0], span[1], s, chunk, should_abort)
             if tally.found is not None:
                 found_flags[idx] = True
             return tally
@@ -684,7 +608,7 @@ def scan(
         compressions_equivalent=rounds / 64 / consumed if consumed else 0.0,
         stage1_survivors=sum(t.stage1 for t in tallies),
         stage2_survivors=sum(t.stage2 for t in tallies),
-        mode=mode,
+        mode="early-exit" if "2" in s else "generic",
     )
 
 
@@ -701,14 +625,13 @@ def evaluate_digests(work: PreparedWork, nonces: Sequence[int] | np.ndarray) -> 
         raise ValueError("nonce out of 32-bit range")
     arr = arr.astype(np.uint32)
     out = np.empty((8, arr.size), dtype=np.uint32)
+    s = _lane_set(work.target, "generic", ImprovementSet.full())
     engine = _LaneEngine(min(DEFAULT_CHUNK, max(arr.size, 1)))
     for start in range(0, arr.size, engine.width):
         part = arr[start : start + engine.width]
         lanes = engine.views(part.size)
         np.copyto(lanes.nonces, part)
-        lanes.comp2_prepared(work)
-        lanes.comp3(work.kw_comp3, last_round=63)
-        lanes.digest_feedforward()
+        _chunk(work, lanes, s)
         for i in range(8):
             out[i, start : start + part.size] = lanes.regs[i]
     return out
@@ -722,53 +645,15 @@ def scan_naive(
     *,
     chunk: int = DEFAULT_CHUNK,
 ) -> ScanResult:
-    """Unoptimized three-compression scan, the benchmark baseline.
-
-    Recomputes the first compression for every nonce and runs all 64
-    rounds of each compression, exactly as a by-the-book miner would.
-    """
-    if len(header) not in (76, 80):
-        raise ValueError("header must be 76 or 80 bytes")
-    if target <= 0:
-        raise ValueError("zero target")
-    if nonce_lo > nonce_hi:
-        raise ValueError("empty nonce range")
-    block1 = struct.unpack(">16I", header[:64])
-    w_head = struct.unpack(">3I", header[64:76])
-    work = prepare_header_work(header, target)  # for the scalar referee only
-
-    engine = _LaneEngine(min(chunk, nonce_hi - nonce_lo + 1))
-    tally = _RangeTally()
-    pos = nonce_lo
-    while pos <= nonce_hi:
-        m = min(chunk, nonce_hi - pos + 1)
-        lanes = engine.views(m)
-        np.add(np.arange(m, dtype=np.uint32), np.uint32(pos), out=lanes.nonces)
-        lanes.comp1_naive(block1)
-        lanes.comp2_naive(w_head)
-        lanes.comp3_naive()
-        lanes.digest_feedforward()
-        accept = lanes.accept_mask(target)
-        hit = False
-        for lane in np.nonzero(accept)[0].tolist():
-            digest = complete_nonce(work, pos + lane)
-            if meets_target(digest, target):
-                tally.found = FoundNonce(pos + lane, digest)
-                tally.consumed += lane + 1
-                tally.rounds += ROUNDS_PER_NONCE_NAIVE * (lane + 1)
-                hit = True
-                break
-        if hit:
-            break
-        tally.consumed += m
-        tally.rounds += ROUNDS_PER_NONCE_NAIVE * m
-        pos += m
-    return ScanResult(
-        found=tally.found,
-        nonces_tried=tally.consumed,
-        rounds_executed=tally.rounds,
-        compressions_equivalent=tally.rounds / 64 / tally.consumed if tally.consumed else 0.0,
-        stage1_survivors=0,
-        stage2_survivors=0,
-        mode="naive",
+    """The unoptimized three-compression baseline: :func:`scan` on one
+    thread with no improvements, so every lane recomputes the first
+    compression and runs all 64 rounds of each, as a by-the-book miner
+    would."""
+    return scan(
+        prepare_header_work(header, target),
+        nonce_lo,
+        nonce_hi,
+        threads=1,
+        chunk=chunk,
+        improvements=ImprovementSet.none(),
     )

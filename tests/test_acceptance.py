@@ -152,7 +152,7 @@ def test_criterion_03_intermediate_figures():
 
 
 def test_criterion_04_rejection_constants():
-    e60, e61 = kern.rejection_constants()
+    e60, e61 = kern.REJECT_E60, kern.REJECT_E61
     assert (e60 + 0x5BE0CD19) % 2**32 == 0
     assert (e61 + 0x1F83D9AB) % 2**32 == 0
     assert (e60, e61) == (0xA41F32E7, 0xE07C2655)

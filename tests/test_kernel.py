@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import minerlab.costs as costs
 import minerlab.header as hdr
 import minerlab.kernel as kern
 import minerlab.sha256 as sha
@@ -110,11 +111,11 @@ class TestPrepareWork:
 
     def test_bad_tail_length(self):
         with pytest.raises(ValueError):
-            kern.prepare_work(sha.IV, b"\x00" * 11, 1 << 200)
+            kern.prepare_work(bytes(64), b"\x00" * 11, 1 << 200)
 
 class TestRejectionConstants:
     def test_complements_of_iv(self):
-        e60, e61 = kern.rejection_constants()
+        e60, e61 = kern.REJECT_E60, kern.REJECT_E61
         assert e60 == 0xA41F32E7
         assert e61 == 0xE07C2655
         assert (0x5BE0CD19 + e60) % 2**32 == 0
@@ -124,7 +125,7 @@ class TestRejectionConstants:
         # build round-61 states that hit both constants and complete them:
         # digest words 7 and 6 must come out zero regardless of the rest
         rng = random.Random(SEED + 8)
-        e60, e61 = kern.rejection_constants()
+        e60, e61 = kern.REJECT_E60, kern.REJECT_E61
         for _ in range(120):
             a, b, c, f, g, h = (rng.getrandbits(32) for _ in range(6))
             e = e60
@@ -142,57 +143,6 @@ class TestRejectionConstants:
             assert digest[28:32] == b"\x00\x00\x00\x00"  # word 7
             assert digest[24:28] == b"\x00\x00\x00\x00"  # word 6
             assert hdr.hash_to_int(digest) < 1 << 192
-
-class TestStepNonce:
-    def test_incremental_equals_recomputation(self):
-        rng = random.Random(SEED + 9)
-        base = _rand_header(rng)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        for _ in range(10_000):
-            nonce = rng.randrange(0, 0xFFFFFFFF)
-            state = kern.start_scan_state(work, nonce)
-            kern.step_nonce(state)
-            got = kern.state_after_round3(state)
-            want = work.state_r3
-            want = sha.compression_round(want, nonce + 1, sha.K[3])
-            assert got == want
-
-    def test_w19_matches_schedule(self):
-        rng = random.Random(SEED + 10)
-        base = _rand_header(rng)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        w_head = struct.unpack(">3I", base[64:76])
-        for _ in range(200):
-            nonce = rng.randrange(0, 0xFFFFFFFF)
-            state = kern.step_nonce(kern.start_scan_state(work, nonce))
-            block2 = w_head + (nonce + 1,) + kern._COMP2_PAD
-            w = sha.expand_schedule(block2)
-            assert state.w19 == w[19]
-            # the printed reduced form: sigma1(W17) + W11 + sigma0(W4) + W3
-            # (word 11 is zero, like word 12 in the raw recurrence)
-            reduced = (
-                sha.little_sigma1(w[17]) + 0 + sha.little_sigma0(w[4]) + (nonce + 1)
-            ) % 2**32
-            assert state.w19 == reduced
-
-    def test_exhaustion_signals_without_state_change(self):
-        base = random.Random(SEED + 11).randbytes(80)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        state = kern.start_scan_state(work, 0xFFFFFFFF)
-        snapshot = (state.nonce, state.a_r4, state.e_r4, state.w19)
-        with pytest.raises(kern.NonceRangeExhausted, match="new work"):
-            kern.step_nonce(state)
-        assert (state.nonce, state.a_r4, state.e_r4, state.w19) == snapshot
-
-    def test_long_walk_stays_exact(self):
-        base = random.Random(SEED + 12).randbytes(80)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        state = kern.start_scan_state(work, 5)
-        for i in range(6, 200):
-            kern.step_nonce(state)
-            assert kern.state_after_round3(state) == sha.compression_round(
-                work.state_r3, i, sha.K[3]
-            )
 
 class TestScanDecisions:
     def test_single_point_matches_reference(self):
@@ -291,6 +241,13 @@ class TestScanDecisions:
         with pytest.raises(ValueError):
             kern.scan(work, 0, 1 << 32)
 
+    def test_early_exit_mode_needs_flag_2(self):
+        base = random.Random(SEED + 31).randbytes(80)
+        work = kern.prepare_header_work(base, 1 << 200)
+        with pytest.raises(ValueError, match="improvement 2"):
+            kern.scan(work, 0, 10, mode="early-exit",
+                      improvements=costs.ImprovementSet.of("1", "3"))
+
     def test_unknown_mode(self):
         base = random.Random(SEED + 22).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 200)
@@ -369,3 +326,76 @@ class TestNaiveScan:
         res = kern.scan_naive(base, 1, 0, 4095)
         assert res.compressions_equivalent == 3.0
         assert res.rounds_executed == 192 * 4096
+
+    def test_range_past_32_bits_rejected(self):
+        base = random.Random(SEED + 32).randbytes(80)
+        with pytest.raises(ValueError, match="32-bit"):
+            kern.scan_naive(base, 1, 0xFFFFFFF0, 2**32 + 5)
+
+    def test_negative_start_rejected(self):
+        base = random.Random(SEED + 33).randbytes(80)
+        with pytest.raises(ValueError, match="32-bit"):
+            kern.scan_naive(base, 1, -1, 10)
+
+# Every dependency-valid combination of the lane flags 1-8 (X and X2 exist
+# only in the gate model): 2^8 sets less those with 4 but not 3 or with 8
+# but not 7.
+LANE_SETS = [s for s in costs.all_valid_sets() if not {"X", "X2"} & s.flags]
+
+# Block 0 of the deployed chain, serialized without minerlab
+GENESIS = struct.pack(
+    "<I32s32sIII", 1, bytes(32),
+    bytes.fromhex("4a5e1e4baab89f3a32518a88c31bc87f618f76673e2cc77ab2127b7afdeda33b")[::-1],
+    1231006505, 0x1D00FFFF, 2083236893,
+)
+GENESIS_HASH = "000000000019d6689c085ae165831e934ff763ae46a2a6c172b3f1b60a8ce26f"
+
+class TestImprovementSubsets:
+    """The one lane pipeline under every subset of flags 1-8, against
+    hashlib: this covers the incremental round 3 (flag 4) and W19 (flag 8)
+    stepping rules as well as each flag's switch back to plain rounds."""
+
+    def test_subset_count(self):
+        assert len(LANE_SETS) == 144
+
+    def test_early_exit_subsets_find_genesis(self):
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        digest = _dsha(GENESIS)
+        assert digest[::-1].hex() == GENESIS_HASH
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        lo = nonce - 2048
+        for s in (s for s in LANE_SETS if "2" in s):
+            res = kern.scan(work, lo, lo + 4095, mode="early-exit", improvements=s)
+            assert res.found is not None, str(s)
+            assert (res.found.nonce, res.found.digest) == (nonce, digest), str(s)
+            assert res.nonces_tried == nonce - lo + 1
+
+    def test_generic_subsets_match_hashlib(self):
+        rng = random.Random(SEED + 34)
+        base = _rand_header(rng)
+        target = 1 << 240
+        winner = 0
+        while int.from_bytes(_dsha(_header_at(base, winner)), "little") >= target:
+            winner += 1
+        lo = max(0, winner - 3000)
+        work = kern.prepare_header_work(base, target)
+        for s in (s for s in LANE_SETS if "2" not in s):
+            res = kern.scan(work, lo, lo + 4095, chunk=1000, improvements=s)
+            assert res.mode == "generic"
+            assert res.found is not None, str(s)
+            assert res.found.nonce == winner, str(s)
+            assert res.found.digest == _dsha(_header_at(base, winner)), str(s)
+
+    def test_accounting_matches_cost_model(self):
+        from fractions import Fraction
+
+        base = random.Random(SEED + 35).randbytes(80)
+        work = kern.prepare_header_work(base, target=1)
+        for s in LANE_SETS:
+            res = kern.scan(work, 1 << 20, (1 << 20) + 4095, improvements=s)
+            assert res.found is None and res.nonces_tried == 4096
+            incremental = 1 if "4" in s else 0
+            assert res.rounds_executed == 4096 * (costs.executed_rounds(s) + incremental), str(s)
+            assert res.compressions_equivalent == float(
+                costs.compression_equivalents(s) + Fraction(incremental, 64)
+            ), str(s)

@@ -25,7 +25,17 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line to stderr, without the usage
+    text; subcommand parsers inherit this."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def _emit(pairs, fmt: str, out=None) -> None:
+    """``key: value`` lines for ``kv``; a header row and a value row for ``csv``."""
     out = out or sys.stdout
     if fmt == "csv":
         print(",".join(str(k) for k, _ in pairs), file=out)
@@ -281,16 +291,15 @@ def cmd_table(args) -> int:
 
 def cmd_adders(args) -> int:
     improvements = costs.ImprovementSet.parse(args.set)
-    rep = costs.cost_report(improvements)
-    comp = rep.compressions_per_nonce
+    comp = costs.compression_equivalents(improvements)
     _emit(
         [
             ("improvements", str(improvements)),
             ("compressions_per_nonce", f"{comp.numerator}/{comp.denominator}"),
             ("compressions_decimal", f"{float(comp):.6f}"),
-            ("amortized_per_nonce", f"{float(rep.amortized_per_nonce):.3e}"),
-            ("adders_per_nonce", rep.adders_per_nonce),
-            ("savings_fraction", f"{float(rep.savings):.6f}"),
+            ("amortized_per_nonce", f"{float(costs.amortized_overhead(improvements)):.3e}"),
+            ("adders_per_nonce", costs.adder_count(improvements)),
+            ("savings_fraction", f"{float(costs.savings_fraction(improvements)):.6f}"),
         ],
         args.format,
     )
@@ -340,14 +349,14 @@ def cmd_retarget_sim(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minerlab",
         description="double-SHA-256 mining lab: scan, verify, benchmark, report",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "kv", "csv"), default="text")
+    def add_format(p, choices=("kv", "csv")):
+        p.add_argument("--format", choices=choices, default=choices[0])
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     p.add_argument("--template", help="work template file (key: value document)")
@@ -392,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="old versus proposed subsidy table")
     p.add_argument("--heights", help="comma-separated heights (default: standard grid)")
-    add_format(p)
+    add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("adders", help="gate-model cost report for an improvement set")
@@ -415,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
     p.add_argument("--expected", type=_parse_int, default=2016 * 600)
     p.add_argument("--clamp", type=int, default=4, help="0 disables clamping")
-    add_format(p)
+    add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_retarget_sim)
 
     return parser

@@ -100,22 +100,13 @@ def all_valid_sets() -> Iterator[ImprovementSet]:
 
 
 def compression_equivalents(s: ImprovementSet) -> Fraction:
-    """Whole-compression cost per nonce; the naive pipeline is exactly 3.
+    """Whole-compression cost per nonce: :func:`executed_rounds` / 64, so
+    the naive pipeline is exactly 3.
 
-    Improvement 1 removes one compression outright (its true residual,
-    2^-32 per nonce, is reported by :func:`amortized_overhead`); 2 and 3
-    each shave 3 of 64 rounds; 4 makes round 3 free in this unit.
+    The true residual of improvement 1, 2^-32 per nonce, is reported by
+    :func:`amortized_overhead`.
     """
-    cost = Fraction(3)
-    if "1" in s:
-        cost -= 1
-    if "2" in s:
-        cost -= Fraction(3, 64)
-    if "3" in s:
-        cost -= Fraction(3, 64)
-    if "4" in s:
-        cost -= Fraction(1, 64)
-    return cost
+    return Fraction(executed_rounds(s), _ROUNDS_PER_COMPRESSION)
 
 
 def amortized_overhead(s: ImprovementSet) -> Fraction:
@@ -124,7 +115,9 @@ def amortized_overhead(s: ImprovementSet) -> Fraction:
 
 
 def executed_rounds(s: ImprovementSet) -> int:
-    """Full rounds run per nonce (round 3 leaves this count under flag 4)."""
+    """Full rounds run per nonce: improvement 1 drops the first compression,
+    2 and 3 each shave 3 of 64 rounds, and 4 makes round 3 free (it leaves
+    this count)."""
     rounds = 0
     if "1" not in s:
         rounds += _ROUNDS_PER_COMPRESSION
@@ -167,24 +160,6 @@ def adder_count(s: ImprovementSet) -> int:
 def savings_fraction(s: ImprovementSet) -> Fraction:
     """Fraction of the naive 3-compression cost removed."""
     return 1 - compression_equivalents(s) / 3
-
-
-class CostReport(NamedTuple):
-    improvements: ImprovementSet
-    compressions_per_nonce: Fraction
-    amortized_per_nonce: Fraction
-    adders_per_nonce: int
-    savings: Fraction
-
-
-def cost_report(s: ImprovementSet) -> CostReport:
-    return CostReport(
-        improvements=s,
-        compressions_per_nonce=compression_equivalents(s),
-        amortized_per_nonce=amortized_overhead(s),
-        adders_per_nonce=adder_count(s),
-        savings=savings_fraction(s),
-    )
 
 
 class CsaPair(NamedTuple):

@@ -66,10 +66,6 @@ def deserialize_header(raw: bytes) -> BlockHeader:
     return BlockHeader(version, prev, root, ts, nbits, nonce)
 
 
-def header_to_hex(h: BlockHeader) -> str:
-    return serialize_header(h).hex()
-
-
 def header_from_hex(text: str) -> BlockHeader:
     text = text.strip()
     if len(text) != 2 * HEADER_LEN:

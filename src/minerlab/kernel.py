@@ -47,16 +47,17 @@ through the scalar reference path before being reported, so the lanes
 never act as their own referee.
 
 Cost instrumentation counts block-cipher rounds and reports them in units
-of whole 64-round compressions.  A nonce costs ``costs.executed_rounds(s)``
-rounds, plus one under flag 4: the incremental round 3 is counted as an
-executed round (61 rounds per compression, not 60), matching the
-convention that early exit alone brings the per-nonce cost to
-2 * 61/64 = 1.906 compressions.  Schedule work and feedforward additions
-are not counted separately.
+of whole 64-round compressions.  The rounds are counted from the rounds
+the lanes run: each compression returns how many it ran, and the chunk
+adds the incremental round 3 under flag 4.  The subset tests check the
+count against the rounds per nonce of the cost model in
+:mod:`minerlab.costs`, which leaves that round out.
+Schedule work and feedforward additions are not counted separately.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sha256 as sha
-from .costs import ImprovementSet, executed_rounds
+from .costs import ImprovementSet
 from .header import meets_target
 
 MASK32 = 0xFFFFFFFF
@@ -85,6 +86,11 @@ _COMP3_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 256)
 _FOLD_FLAGS_COMP2 = {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"}
 _FOLD_FLAGS_COMP3 = {**dict.fromkeys(range(8, 15), "5"), 15: "6"}
 _UNFOLDED = (None,) * 64
+
+# Third-compression folded K+W, None where W varies: the same for every work item.
+KW_COMP3 = tuple(
+    (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if 8 <= t < 16 else None for t in range(64)
+)
 
 REJECT_E60 = (1 << 32) - sha.IV.h  # 0xA41F32E7
 REJECT_E61 = (1 << 32) - sha.IV.g  # 0xE07C2655
@@ -108,7 +114,6 @@ class PreparedWork:
     w18_base: int  # sigma1(W16) + W2; add sigma0(nonce) per nonce
     w19_base: int  # sigma1(W17) + sigma0(0x80000000); add nonce
     kw_comp2: tuple  # per-round folded K+W, None where W varies
-    kw_comp3: tuple
     target: int
 
 
@@ -182,10 +187,6 @@ def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> Prepa
     kw_comp2[16] = (sha.K[16] + w16) & MASK32
     kw_comp2[17] = (sha.K[17] + w17) & MASK32
 
-    kw_comp3 = [None] * 64
-    for t, w in enumerate(_COMP3_PAD, start=8):
-        kw_comp3[t] = (sha.K[t] + w) & MASK32
-
     return PreparedWork(
         midstate=midstate,
         block1=struct.unpack(">16I", header_prefix),
@@ -198,7 +199,6 @@ def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> Prepa
         w18_base=w18_base,
         w19_base=w19_base,
         kw_comp2=tuple(kw_comp2),
-        kw_comp3=tuple(kw_comp3),
         target=target,
     )
 
@@ -252,11 +252,11 @@ def _vlittle_sigma1(x, out, t1, t2):
     np.bitwise_xor(out, t1, out)
 
 
-class _LaneEngine:
-    """Preallocated uint32 lane buffers for one scanning thread."""
+class _Lanes:
+    """Preallocated uint32 lane buffers for one scanning thread, and the
+    in-place pipeline steps that run over them."""
 
     def __init__(self, width: int, recompute_midstate: bool = False):
-        self.width = width
         mk = lambda: np.zeros(width, dtype=np.uint32)
         self.regs = [mk() for _ in range(8)]
         self.ring = [mk() for _ in range(16)]
@@ -269,40 +269,12 @@ class _LaneEngine:
         self.beq = np.zeros(width, dtype=bool)
         self.btmp = np.zeros(width, dtype=bool)
 
-    def views(self, m: int):
-        v = lambda arrs: [a[:m] for a in arrs]
-        return _LaneViews(
-            regs=v(self.regs),
-            ring=v(self.ring),
-            mids=v(self.mids),
-            t1=self.t1[:m],
-            t2=self.t2[:m],
-            ta=self.ta[:m],
-            tb=self.tb[:m],
-            tc=self.tc[:m],
-            td=self.td[:m],
-            nonces=self.nonces[:m],
-            blt=self.blt[:m],
-            beq=self.beq[:m],
-            btmp=self.btmp[:m],
-        )
-
-
-@dataclass
-class _LaneViews:
-    regs: list
-    ring: list
-    mids: list
-    t1: np.ndarray
-    t2: np.ndarray
-    ta: np.ndarray
-    tb: np.ndarray
-    tc: np.ndarray
-    td: np.ndarray
-    nonces: np.ndarray
-    blt: np.ndarray
-    beq: np.ndarray
-    btmp: np.ndarray
+    def view(self, m: int) -> "_Lanes":
+        """The first ``m`` lanes of every buffer, sharing their memory."""
+        lanes = copy.copy(self)
+        for name, buf in vars(self).items():
+            setattr(lanes, name, [a[:m] for a in buf] if isinstance(buf, list) else buf[:m])
+        return lanes
 
     def round(self, kw, w_vec, k):
         """One cipher round across all lanes; registers rotate by renaming."""
@@ -345,11 +317,12 @@ class _LaneViews:
         for reg, value in zip(self.regs, values):
             reg[:] = value
 
-    def compress(self, kw_table, first=0, last=63, fixed_words=None):
+    def compress(self, kw_table, first=0, last=63, fixed_words=None) -> int:
         """Rounds ``first``..``last`` from the registers over the message in
-        the ring.  ``kw_table`` holds the folded K+W of each round, None
-        where W and K are added separately; ``fixed_words`` maps a round to
-        a writer that fills its schedule word in place of the recurrence."""
+        the ring; returns the number of rounds run.  ``kw_table`` holds the
+        folded K+W of each round, None where W and K are added separately;
+        ``fixed_words`` maps a round to a writer that fills its schedule
+        word in place of the recurrence."""
         ring = self.ring
         for t in range(first, last + 1):
             if t >= 16:
@@ -358,6 +331,7 @@ class _LaneViews:
                 else:
                     self.sched(t)
             self.round(kw_table[t], ring[t & 15], sha.K[t])
+        return last - first + 1
 
     def feedforward(self, base, out):
         """out[i] = register i + base[i]: the compression's output words."""
@@ -390,19 +364,21 @@ def _folded(kw_table, fold_flags, s: ImprovementSet) -> list:
     return [kw if fold_flags.get(t) in s else None for t, kw in enumerate(kw_table)]
 
 
-def _chunk(work: PreparedWork, lanes: _LaneViews, s: ImprovementSet) -> None:
-    """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects.
+def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
+    """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects
+    and return the rounds each lane ran.
 
     Afterwards the registers hold the third compression's state after
     round 60 under flag 2, and the digest words otherwise.
     """
     n, ring = lanes.nonces, lanes.ring
     midstate = work.midstate
+    rounds = 0
     if "1" not in s:  # first compression, recomputed per lane
         for slot, w in enumerate(work.block1):
             ring[slot][:] = w
         lanes.fill_regs(sha.IV)
-        lanes.compress(_UNFOLDED)
+        rounds += lanes.compress(_UNFOLDED)
         lanes.feedforward(sha.IV, lanes.mids)
         midstate = lanes.mids
 
@@ -418,6 +394,10 @@ def _chunk(work: PreparedWork, lanes: _LaneViews, s: ImprovementSet) -> None:
         np.add(n, work.t1_base, lanes.t1)
         np.add(lanes.t1, work.t2_r3, lanes.regs[0])
         np.add(lanes.t1, r3.d, lanes.regs[4])
+        # the incremental round 3 counts as a round (61 per compression, not
+        # 60), matching the convention that early exit alone brings the
+        # per-nonce cost to 2 * 61/64 = 1.906 compressions
+        rounds += 1
         first = 4
     elif "3" in s:
         lanes.fill_regs(work.state_r3)
@@ -438,16 +418,17 @@ def _chunk(work: PreparedWork, lanes: _LaneViews, s: ImprovementSet) -> None:
         fixed_words[18] = w18
     if "8" in s:
         fixed_words[19] = lambda out: np.add(n, work.w19_base, out)
-    lanes.compress(_folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s), first, 63, fixed_words)
+    rounds += lanes.compress(_folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s), first, 63, fixed_words)
     lanes.feedforward(midstate, ring)
 
     # third compression: the first hash in ring slots 0..7, then padding
     for slot, w in enumerate(_COMP3_PAD, start=8):
         ring[slot][:] = w
     lanes.fill_regs(sha.IV)
-    lanes.compress(_folded(work.kw_comp3, _FOLD_FLAGS_COMP3, s), 0, 60 if "2" in s else 63)
+    rounds += lanes.compress(_folded(KW_COMP3, _FOLD_FLAGS_COMP3, s), 0, 60 if "2" in s else 63)
     if "2" not in s:
         lanes.feedforward(sha.IV, lanes.regs)
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +471,21 @@ class _RangeTally:
     stage2: int = 0
 
 
-def _scan_range(work, lo, hi, s, chunk, should_abort=None) -> _RangeTally:
-    engine = _LaneEngine(min(chunk, hi - lo + 1), recompute_midstate="1" not in s)
+def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
+    width = min(chunk, hi - lo + 1)
+    buffers = _Lanes(width, recompute_midstate="1" not in s)
+    offsets = np.arange(width, dtype=np.uint32)
     tally = _RangeTally()
-    # the incremental round 3 counts as a round: 61 per compression, not 60
-    per_nonce = executed_rounds(s) + ("4" in s)
     early = "2" in s
     stage2_active = work.target < WORD6_TARGET_BOUND
     pos = lo
     while pos <= hi:
-        if should_abort is not None and should_abort():
+        if should_abort():
             break
         m = min(chunk, hi - pos + 1)
-        lanes = engine.views(m)
-        np.add(np.arange(m, dtype=np.uint32), np.uint32(pos), out=lanes.nonces)
-        _chunk(work, lanes, s)
+        lanes = buffers.view(m)
+        np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
+        per_lane = _chunk(work, lanes, s)
         if early:
             candidates = np.nonzero(lanes.regs[4] == np.uint32(REJECT_E60))[0]
         else:
@@ -525,10 +506,10 @@ def _scan_range(work, lo, hi, s, chunk, should_abort=None) -> _RangeTally:
             if meets_target(digest, work.target):
                 tally.found = FoundNonce(pos + lane, digest)
                 tally.consumed += lane + 1
-                tally.rounds += per_nonce * (lane + 1)
+                tally.rounds += per_lane * (lane + 1)
                 return tally
         tally.consumed += m
-        tally.rounds += per_nonce * m
+        tally.rounds += per_lane * m
         pos += m
     return tally
 
@@ -562,9 +543,10 @@ def scan(
     The lanes run the pipeline ``improvements`` selects; ``mode="generic"``
     (or ``"auto"`` at a target of 2^224 or above) drops flag 2.
 
-    The range is split into contiguous subranges when ``threads`` > 1; the
-    merge takes the minimum found nonce, so partitioning never changes the
-    winner. Counters cover the nonces each worker actually consumed.
+    The range is split into ``threads`` contiguous subranges: the calling
+    thread scans the lowest and a pool scans the rest.  The merge takes the
+    minimum found nonce, so partitioning never changes the winner.
+    Counters cover the nonces each subrange actually consumed.
     """
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
         if not 0 <= v <= MASK32:
@@ -576,23 +558,22 @@ def scan(
     s = _lane_set(work.target, mode, improvements)
 
     spans = _partition(nonce_lo, nonce_hi, threads)
-    if len(spans) == 1:
-        tallies = [_scan_range(work, nonce_lo, nonce_hi, s, chunk)]
-    else:
-        found_flags = [False] * len(spans)
+    found_flags = [False] * len(spans)
 
-        def run(idx: int, span: tuple[int, int]) -> _RangeTally:
-            def should_abort() -> bool:
-                # a find in a lower subrange always wins; stop wasting work
-                return any(found_flags[:idx])
+    def run(idx: int) -> _RangeTally:
+        def should_abort() -> bool:
+            # a find in a lower subrange always wins; stop wasting work
+            return any(found_flags[:idx])
 
-            tally = _scan_range(work, span[0], span[1], s, chunk, should_abort)
-            if tally.found is not None:
-                found_flags[idx] = True
-            return tally
+        tally = _scan_range(work, *spans[idx], s, chunk, should_abort)
+        if tally.found is not None:
+            found_flags[idx] = True
+        return tally
 
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            tallies = list(pool.map(run, range(len(spans)), spans))
+    # the pool starts a thread per submitted span, so one span starts none
+    with ThreadPoolExecutor(max_workers=max(len(spans) - 1, 1)) as pool:
+        rest = [pool.submit(run, idx) for idx in range(1, len(spans))]
+        tallies = [run(0)] + [f.result() for f in rest]
 
     found = min(
         (t.found for t in tallies if t.found is not None),
@@ -626,10 +607,11 @@ def evaluate_digests(work: PreparedWork, nonces: Sequence[int] | np.ndarray) -> 
     arr = arr.astype(np.uint32)
     out = np.empty((8, arr.size), dtype=np.uint32)
     s = _lane_set(work.target, "generic", ImprovementSet.full())
-    engine = _LaneEngine(min(DEFAULT_CHUNK, max(arr.size, 1)))
-    for start in range(0, arr.size, engine.width):
-        part = arr[start : start + engine.width]
-        lanes = engine.views(part.size)
+    width = min(DEFAULT_CHUNK, max(arr.size, 1))
+    buffers = _Lanes(width)
+    for start in range(0, arr.size, width):
+        part = arr[start : start + width]
+        lanes = buffers.view(part.size)
         np.copyto(lanes.nonces, part)
         _chunk(work, lanes, s)
         for i in range(8):

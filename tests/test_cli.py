@@ -261,6 +261,25 @@ class TestInputChecks:
         assert run_cli("mine", "--template", str(FIXTURE), "--nbits", bad) == 2
         assert run_cli("retarget-sim", "--nbits", bad, "--spans", "100") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("energy", "--power-per-ghs", "nan", "--rate-ghs", "1", "--price-per-kwh", "1"),
+        ("mine", "--target", "0x1f"),
+        ("mine", "--mode", "turbo"),
+        ("reward",),
+        ("fly",),
+    ])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("mine", "--template", str(FIXTURE), "--format", "text"),
+        ("table", "--format", "kv"),
+    ])
+    def test_format_choices_differ(self, argv):
+        assert run_cli(*argv) == 2
+
     def test_short_target_is_a_number(self, capsys):
         # fewer than 64 digits read as a plain hex number: the benchmark's
         # set-up probe (perfbench/setup_probe.py) passes --target 1

@@ -89,7 +89,7 @@ class TestPrepareWork:
         base = random.Random(SEED + 5).randbytes(80)
         work = kern.prepare_header_work(base, target=1 << 200)
         folded2 = [t for t, kw in enumerate(work.kw_comp2) if kw is not None]
-        folded3 = [t for t, kw in enumerate(work.kw_comp3) if kw is not None]
+        folded3 = [t for t, kw in enumerate(kern.KW_COMP3) if kw is not None]
         assert folded2 == list(range(4, 18))
         assert folded3 == list(range(8, 16))
         # 16 zero words + 2 marker words + 2 length words + W16 + W17
@@ -101,8 +101,8 @@ class TestPrepareWork:
         assert work.kw_comp2[4] == (sha.K[4] + 0x80000000) % 2**32
         assert work.kw_comp2[5] == sha.K[5]
         assert work.kw_comp2[15] == (sha.K[15] + 640) % 2**32
-        assert work.kw_comp3[8] == (sha.K[8] + 0x80000000) % 2**32
-        assert work.kw_comp3[15] == (sha.K[15] + 256) % 2**32
+        assert kern.KW_COMP3[8] == (sha.K[8] + 0x80000000) % 2**32
+        assert kern.KW_COMP3[15] == (sha.K[15] + 256) % 2**32
 
     def test_zero_target_rejected(self):
         base = random.Random(SEED + 7).randbytes(80)
@@ -222,6 +222,34 @@ class TestScanDecisions:
         assert four.found is not None
         assert one.found.nonce == four.found.nonce
         assert one.found.digest == four.found.digest
+
+    @staticmethod
+    def _counters(res):
+        return (res.nonces_tried, res.rounds_executed,
+                res.stage1_survivors, res.stage2_survivors)
+
+    def test_threads_keep_counters_exact(self):
+        base = random.Random(SEED + 36).randbytes(80)
+        work = kern.prepare_header_work(base, target=1)
+        one = kern.scan(work, 0, (1 << 16) - 1, threads=1, chunk=4096)
+        three = kern.scan(work, 0, (1 << 16) - 1, threads=3, chunk=4096)
+        assert one.found is None and three.found is None
+        assert one.nonces_tried == 1 << 16
+        assert self._counters(three) == self._counters(one)
+
+    def test_winner_in_highest_subrange(self):
+        # the calling thread scans the lowest subrange and exhausts it; the
+        # only winner lies in the last, which a pool thread scans
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        lo, hi = nonce - 8191, nonce + 100
+        assert kern._partition(lo, hi, 3)[2][0] < nonce
+        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        three = kern.scan(work, lo, hi, threads=3, chunk=1024)
+        assert three.found == one.found
+        assert three.found.digest == _dsha(GENESIS)
+        assert one.nonces_tried == 8192
+        assert self._counters(three) == self._counters(one)
 
     def test_early_exit_mode_forced_unsound(self):
         base = random.Random(SEED + 19).randbytes(80)

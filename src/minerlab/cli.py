@@ -19,6 +19,7 @@ from . import costs, header as hdr, kernel as kern, rewards as rw
 from . import sha256 as sha
 
 DEFAULT_SEED = 0x6D696E65726C61B5  # fixed 64-bit seed, recorded in reports
+BENCH_ROUNDS = 5  # timed runs of each pipeline in ``bench``; odd, so one is the median
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,6 +52,13 @@ def _btc_str(satoshis: int) -> str:
 
 def _parse_int(text: str) -> int:
     return int(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _finite_float(text: str) -> float:
@@ -173,24 +181,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.count <= 0:
-        raise ValueError("count must be positive")
     improvements = costs.ImprovementSet.parse(args.set)
     rng = random.Random(args.seed)
     raw = rng.randbytes(76) + b"\x00" * 4
     target = 1  # unreachable: pure throughput measurement
-    lo, hi = 0, args.count - 1
 
     work = kern.prepare_header_work(raw, target)
-    t0 = time.perf_counter()
-    fast = kern.scan(work, lo, hi, threads=args.threads, chunk=args.chunk,
-                     improvements=improvements)
-    fast_s = time.perf_counter() - t0
+    pipelines = (improvements, costs.ImprovementSet.none())
 
-    t0 = time.perf_counter()
-    slow = kern.scan(work, lo, hi, threads=args.threads, chunk=args.chunk,
-                     improvements=costs.ImprovementSet.none())
-    slow_s = time.perf_counter() - t0
+    def run(s, end):
+        t0 = time.perf_counter()
+        res = kern.scan(work, 0, end, threads=args.threads, chunk=args.chunk, improvements=s)
+        return res, time.perf_counter() - t0
+
+    # one untimed chunk of each warms the process; then the two alternate
+    # and the medians damp speed drift between runs
+    for s in pipelines:
+        run(s, min(args.count, args.chunk) - 1)
+    timed = [[run(s, args.count - 1) for s in pipelines] for _ in range(BENCH_ROUNDS)]
+    fast, slow = timed[0][0][0], timed[0][1][0]
+    fast_s, slow_s = (sorted(r[i][1] for r in timed)[BENCH_ROUNDS // 2] for i in (0, 1))
 
     predicted = costs.compression_equivalents(improvements)
     _emit(
@@ -365,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto")
-    p.add_argument("--chunk", type=_parse_int, default=kern.DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK)
     add_format(p)
     p.set_defaults(func=cmd_mine)
 
@@ -378,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="an improvement set's throughput versus the naive pipeline")
-    p.add_argument("--count", type=_parse_int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--count", type=_positive_int, required=True)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
     p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
-    p.add_argument("--chunk", type=_parse_int, default=kern.DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK)
     add_format(p)
     p.set_defaults(func=cmd_bench)
 

@@ -58,6 +58,7 @@ Schedule work and feedforward additions are not counted separately.
 from __future__ import annotations
 
 import copy
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -544,9 +545,10 @@ def scan(
     (or ``"auto"`` at a target of 2^224 or above) drops flag 2.
 
     The range is split into ``threads`` contiguous subranges: the calling
-    thread scans the lowest and a pool scans the rest.  The merge takes the
-    minimum found nonce, so partitioning never changes the winner.
-    Counters cover the nonces each subrange actually consumed.
+    thread scans the lowest and a pool of up to ``os.cpu_count()`` threads
+    the rest.  The merge takes the minimum found nonce, so partitioning
+    never changes the winner.  Counters cover the nonces each subrange
+    actually consumed.
     """
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
         if not 0 <= v <= MASK32:
@@ -555,6 +557,8 @@ def scan(
         raise ValueError("empty nonce range")
     if chunk < 1:
         raise ValueError("chunk must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     s = _lane_set(work.target, mode, improvements)
 
     spans = _partition(nonce_lo, nonce_hi, threads)
@@ -570,8 +574,8 @@ def scan(
             found_flags[idx] = True
         return tally
 
-    # the pool starts a thread per submitted span, so one span starts none
-    with ThreadPoolExecutor(max_workers=max(len(spans) - 1, 1)) as pool:
+    # one span starts no pool thread; spans past os.cpu_count() queue in order
+    with ThreadPoolExecutor(max_workers=max(1, min(len(spans) - 1, os.cpu_count() or 1))) as pool:
         rest = [pool.submit(run, idx) for idx in range(1, len(spans))]
         tallies = [run(0)] + [f.result() for f in rest]
 

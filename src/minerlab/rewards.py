@@ -18,12 +18,14 @@ in closed form:
   with both the retarget and halving cycles (210000 = 336 * 625), and the
   same series argument gives 15.75e6 + 336 * 25 * 625 = 21,000,000.
 
-Per-block amounts use exact rational arithmetic before rounding; floats
-appear only in display helpers.
+Rounded smooth subsidies come from one table built on first use; exact
+supplies are closed forms. Floats appear only in display helpers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence
@@ -42,7 +44,7 @@ SMOOTH_START_PERIOD = SMOOTH_START_HEIGHT // SMOOTH_PERIOD  # 1250
 SMOOTH_BASE_SATOSHIS = 25 * SATOSHI_PER_BTC
 DECAY = Fraction(624, 625)
 
-MAX_SUPPLY_HEIGHT = 100_000_000  # supply queries stay exact and fast below this
+MAX_SUPPLY_HEIGHT = 100_000_000  # the exact supply's denominator has 2.75 M bits here
 
 ScheduleKind = Literal["original", "proposed"]
 
@@ -106,16 +108,15 @@ def smooth_reward_exact(t: int) -> Fraction:
 def reward_proposed(t: int) -> int:
     """Proposed subsidy at height ``t`` in satoshis, rounded half-up.
 
-    Constant within each 336-block window; changes only at multiples
-    of 336.
+    From 420,000 on it is read from the period table: constant within
+    each 336-block window, it changes only at multiples of 336.
     """
     _check_height(t)
     if t < SMOOTH_START_HEIGHT:
         return SMOOTH_BASE_SATOSHIS if t >= HALVING_INTERVAL else INITIAL_REWARD_SATOSHIS
+    rewards, _ = _smooth_table()
     j = t // SMOOTH_PERIOD - SMOOTH_START_PERIOD
-    if j >= _zero_period():
-        return 0
-    return _round_half_up(SMOOTH_BASE_SATOSHIS * DECAY**j)
+    return rewards[j] if j < len(rewards) else 0
 
 
 # Rounded per-period satoshi values via 128-bit fixed point. The scaled
@@ -144,15 +145,12 @@ def _smooth_period_satoshis() -> Iterator[int]:
         j += 1
 
 
-_ZERO_PERIOD: int | None = None
-
-
-def _zero_period() -> int:
-    """First period index whose rounded subsidy is zero."""
-    global _ZERO_PERIOD
-    if _ZERO_PERIOD is None:
-        _ZERO_PERIOD = sum(1 for _ in _smooth_period_satoshis())
-    return _ZERO_PERIOD
+@functools.cache
+def _smooth_table() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rounded subsidies of the smooth periods before the first zero one (so
+    the zero period is its length) and prefix sums ``before[j]`` of 0 .. j-1."""
+    rewards = tuple(_smooth_period_satoshis())
+    return rewards, tuple(itertools.accumulate(rewards, initial=0))
 
 
 @dataclass(frozen=True)
@@ -190,31 +188,19 @@ def _cumulative_original_exact(t: int) -> Fraction:
 def _cumulative_proposed_satoshis(t: int) -> int:
     if t <= SMOOTH_START_HEIGHT:
         return _cumulative_original_satoshis(t)
-    total = _cumulative_original_satoshis(SMOOTH_START_HEIGHT)
-    k_limit = t // SMOOTH_PERIOD - SMOOTH_START_PERIOD
-    partial_blocks = t % SMOOTH_PERIOD
-    last = 0
-    for j, sat in enumerate(_smooth_period_satoshis()):
-        if j >= k_limit:
-            last = sat
-            break
-        total += SMOOTH_PERIOD * sat
-    else:
-        last = 0
-    return total + partial_blocks * last
+    _, before = _smooth_table()
+    j = min((t - SMOOTH_START_HEIGHT) // SMOOTH_PERIOD, len(before) - 1)
+    return (_cumulative_original_satoshis(SMOOTH_START_HEIGHT)
+            + SMOOTH_PERIOD * before[j] + t % SMOOTH_PERIOD * reward_proposed(t))
 
 
 def _cumulative_proposed_exact(t: int) -> Fraction:
     if t <= SMOOTH_START_HEIGHT:
         return _cumulative_original_exact(t)
-    base = _cumulative_original_exact(SMOOTH_START_HEIGHT)
-    m = t // SMOOTH_PERIOD - SMOOTH_START_PERIOD
-    partial = t % SMOOTH_PERIOD
-    # geometric partial sum: sum_{j<m} q^j = (1 - q^m) / (1 - q)
-    q_m = DECAY**m
-    full = SMOOTH_PERIOD * SMOOTH_BASE_SATOSHIS * (1 - q_m) / (1 - DECAY)
-    tail = partial * SMOOTH_BASE_SATOSHIS * q_m
-    return base + (full + tail) / SATOSHI_PER_BTC
+    m, partial = divmod(t - SMOOTH_START_HEIGHT, SMOOTH_PERIOD)
+    # 15.75e6 BTC before 420,000 and the series 336 * 25 / (1 - q) make the
+    # cap; after m periods and ``partial`` blocks the series tail is unissued
+    return CAP_BTC - (SMOOTH_PERIOD / (1 - DECAY) - partial) * 25 * DECAY**m
 
 
 def cumulative_supply(t: int, kind: ScheduleKind) -> SupplyReport:
@@ -261,9 +247,8 @@ def total_emission(kind: ScheduleKind) -> EmissionTotal:
     elif kind == "proposed":
         pre = HALVING_INTERVAL * 50 + HALVING_INTERVAL * 25
         closed = pre + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY))
-        iterated = _cumulative_original_satoshis(SMOOTH_START_HEIGHT) + sum(
-            SMOOTH_PERIOD * sat for sat in _smooth_period_satoshis()
-        )
+        iterated = (_cumulative_original_satoshis(SMOOTH_START_HEIGHT)
+                    + SMOOTH_PERIOD * _smooth_table()[1][-1])
     else:
         raise ValueError(f"unknown schedule {kind!r}")
     return EmissionTotal(

@@ -280,6 +280,14 @@ class TestInputChecks:
     def test_format_choices_differ(self, argv):
         assert run_cli(*argv) == 2
 
+    @pytest.mark.parametrize("option,value", [
+        ("--threads", "0"), ("--threads", "-1"), ("--chunk", "0"),
+    ])
+    def test_below_one_rejected(self, option, value, capsys):
+        assert run_cli("mine", "--template", str(FIXTURE), option, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_short_target_is_a_number(self, capsys):
         # fewer than 64 digits read as a plain hex number: the benchmark's
         # set-up probe (perfbench/setup_probe.py) passes --target 1

@@ -251,6 +251,35 @@ class TestScanDecisions:
         assert one.nonces_tried == 8192
         assert self._counters(three) == self._counters(one)
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # six spans on a two-CPU host: the pool gets two workers and the
+        # other spans queue, with the same winner and counters
+        sizes = []
+        real_pool = kern.ThreadPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kern, "ThreadPoolExecutor", pool)
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        lo, hi = nonce - 8191, nonce + 100
+        assert kern._partition(lo, hi, 6)[5][0] < nonce
+        one = kern.scan(work, lo, hi, threads=1, chunk=512)
+        six = kern.scan(work, lo, hi, threads=6, chunk=512)
+        assert sizes == [1, 2]
+        assert six.found == one.found and one.found.digest == _dsha(GENESIS)
+        assert self._counters(six) == self._counters(one)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        base = random.Random(SEED + 22).randbytes(80)
+        work = kern.prepare_header_work(base, 1 << 200)
+        with pytest.raises(ValueError, match="threads"):
+            kern.scan(work, 0, 10, threads=threads)
+
     def test_early_exit_mode_forced_unsound(self):
         base = random.Random(SEED + 19).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 224)

@@ -96,7 +96,7 @@ class TestProposedReward:
             assert Fraction(got) > exact - Fraction(1, 2)
 
     def test_reward_hits_zero_and_stays_there(self):
-        zero_height = (rw._zero_period() + rw.SMOOTH_START_PERIOD) * 336
+        zero_height = (len(rw._smooth_table()[0]) + rw.SMOOTH_START_PERIOD) * 336
         assert rw.reward_proposed(zero_height) == 0
         assert rw.reward_proposed(zero_height - 1) > 0
         assert rw.reward_proposed(zero_height + 10_000_000) == 0
@@ -148,9 +148,38 @@ class TestSupply:
             assert rep.cumulative_satoshis <= rw.CAP_SATOSHIS
             assert rep.cap_delta_satoshis >= 0
 
+    def test_exact_matches_per_period_sum(self):
+        # the closed form against the series summed one period at a time
+        acc = Fraction(15_750_000)
+        reward_btc = Fraction(25)
+        for j in range(400):
+            t = rw.SMOOTH_START_HEIGHT + j * 336
+            for offset in (0, 1, 335):
+                got = rw.cumulative_supply(t + offset, "proposed").exact_btc
+                assert got == acc + offset * reward_btc
+            acc += 336 * reward_btc
+            reward_btc *= rw.DECAY
+
+    def test_at_height_limit(self):
+        rep = rw.cumulative_supply(rw.MAX_SUPPLY_HEIGHT, "proposed")
+        assert rep.cumulative_satoshis == rw.total_emission("proposed").iterated_satoshis
+        assert 0 < rw.CAP_BTC - rep.exact_btc < Fraction(1, 10**8)
+
     def test_height_limit(self):
         with pytest.raises(ValueError):
             rw.cumulative_supply(rw.MAX_SUPPLY_HEIGHT + 1, "proposed")
+
+
+class TestSmoothTable:
+    def test_entries_round_the_exact_series(self):
+        rewards, before = rw._smooth_table()
+        exact = Fraction(25 * 10**8)
+        for sat in rewards:
+            assert sat == rw._round_half_up(exact)
+            exact *= rw.DECAY
+        assert rw._round_half_up(exact) == 0  # the entry after the last
+        assert len(rewards) == 13_947
+        assert len(before) == len(rewards) + 1 and before[-1] == sum(rewards)
 
 
 class TestTotals:
@@ -186,7 +215,7 @@ class TestTotals:
         assert te.iterated_delta_satoshis == -2_310_000
 
     def test_iterated_matches_deep_cumulative(self):
-        deep = (rw._zero_period() + rw.SMOOTH_START_PERIOD + 10) * 336
+        deep = (len(rw._smooth_table()[0]) + rw.SMOOTH_START_PERIOD + 10) * 336
         assert (
             rw.cumulative_supply(deep, "proposed").cumulative_satoshis
             == rw.total_emission("proposed").iterated_satoshis

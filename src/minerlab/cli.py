@@ -51,7 +51,11 @@ def _btc_str(satoshis: int) -> str:
 
 
 def _parse_int(text: str) -> int:
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer (decimal, or 0x hex), got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -61,10 +65,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _PickedChunk(int):
+    """The ``--chunk`` default: reads as the one-thread chunk, and lets the
+    scan pick the chunk from the thread count."""
+
+
+def _chunk_arg(args) -> int | None:
+    return None if isinstance(args.chunk, _PickedChunk) else args.chunk
+
+
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -123,11 +139,13 @@ def cmd_mine(args) -> int:
 
     work = kern.prepare_header_work(raw, target)
     started = time.perf_counter()
-    res = kern.scan(work, lo, hi, mode=args.mode, threads=args.threads, chunk=args.chunk)
+    res = kern.scan(work, lo, hi, mode=args.mode, threads=args.threads, chunk=_chunk_arg(args))
     elapsed = time.perf_counter() - started
 
     pairs = [("target", f"{target:064x}"), ("mode", res.mode)]
     pairs += [
+        ("threads", res.threads),
+        ("chunk", res.chunk),
         ("nonces_tried", res.nonces_tried),
         ("rounds_executed", res.rounds_executed),
         ("compressions_per_nonce", f"{res.compressions_equivalent:.6f}"),
@@ -188,16 +206,17 @@ def cmd_bench(args) -> int:
 
     work = kern.prepare_header_work(raw, target)
     pipelines = (improvements, costs.ImprovementSet.none())
+    chunk = kern.effective_chunk(args.threads, _chunk_arg(args))
 
     def run(s, end):
         t0 = time.perf_counter()
-        res = kern.scan(work, 0, end, threads=args.threads, chunk=args.chunk, improvements=s)
+        res = kern.scan(work, 0, end, threads=args.threads, chunk=chunk, improvements=s)
         return res, time.perf_counter() - t0
 
     # one untimed chunk of each warms the process; then the two alternate
     # and the medians damp speed drift between runs
     for s in pipelines:
-        run(s, min(args.count, args.chunk) - 1)
+        run(s, min(args.count, chunk) - 1)
     timed = [[run(s, args.count - 1) for s in pipelines] for _ in range(BENCH_ROUNDS)]
     fast, slow = timed[0][0][0], timed[0][1][0]
     fast_s, slow_s = (sorted(r[i][1] for r in timed)[BENCH_ROUNDS // 2] for i in (0, 1))
@@ -207,7 +226,8 @@ def cmd_bench(args) -> int:
         [
             ("seed", f"0x{args.seed:016x}"),
             ("count", args.count),
-            ("threads", args.threads),
+            ("threads", fast.threads),
+            ("chunk", fast.chunk),
             ("improvements", str(improvements)),
             ("predicted_compressions_per_nonce", f"{predicted} = {float(predicted):.6f}"),
             ("optimized_compressions_per_nonce", f"{fast.compressions_equivalent:.6f}"),
@@ -368,6 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("kv", "csv")):
         p.add_argument("--format", choices=choices, default=choices[0])
 
+    def add_chunk(p):
+        p.add_argument("--chunk", type=_positive_int, default=_PickedChunk(kern.DEFAULT_CHUNK),
+                       help=f"lanes per numpy call (default: {kern.DEFAULT_CHUNK} on one thread, "
+                            f"{kern.THREADED_CHUNK} on more)")
+
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     p.add_argument("--template", help="work template file (key: value document)")
     p.add_argument("--header", help="160-char header hex (nonce field ignored)")
@@ -377,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto")
-    p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK)
+    add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_mine)
 
@@ -392,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
     p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
-    p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK)
+    add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_bench)
 
@@ -448,7 +473,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -71,7 +71,12 @@ from .costs import ImprovementSet
 from .header import meets_target
 
 MASK32 = 0xFFFFFFFF
-DEFAULT_CHUNK = 1 << 16
+# Lanes per numpy call when the caller gives no chunk.  One thread: the 31
+# lane buffers of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
+# lanes past its winner.  Several threads: 2^14 calls make the threads convoy
+# on the GIL, so they keep 2^16.
+DEFAULT_CHUNK = 1 << 14
+THREADED_CHUNK = 1 << 16
 
 WORD7_TARGET_BOUND = 1 << 224  # early exit sound strictly below this
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
@@ -133,6 +138,8 @@ class ScanResult:
     stage1_survivors: int
     stage2_survivors: int
     mode: str
+    chunk: int  # lanes per numpy call
+    threads: int
 
 
 def compute_midstate(header_prefix: bytes) -> sha.State:
@@ -528,6 +535,14 @@ def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
+def effective_chunk(threads: int, chunk: int | None = None) -> int:
+    """``chunk`` if given, else :data:`DEFAULT_CHUNK` on one thread and
+    :data:`THREADED_CHUNK` on several."""
+    if chunk is not None:
+        return chunk
+    return DEFAULT_CHUNK if threads == 1 else THREADED_CHUNK
+
+
 def scan(
     work: PreparedWork,
     nonce_lo: int,
@@ -535,14 +550,15 @@ def scan(
     *,
     mode: str = "auto",
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int | None = None,
     improvements: ImprovementSet = ImprovementSet.full(),
 ) -> ScanResult:
     """Scan the inclusive nonce range, returning the smallest qualifying
     nonce if one exists.
 
     The lanes run the pipeline ``improvements`` selects; ``mode="generic"``
-    (or ``"auto"`` at a target of 2^224 or above) drops flag 2.
+    (or ``"auto"`` at a target of 2^224 or above) drops flag 2.  ``chunk``
+    lanes run per numpy call; None picks :func:`effective_chunk`.
 
     The range is split into ``threads`` contiguous subranges: the calling
     thread scans the lowest and a pool of up to ``os.cpu_count()`` threads
@@ -555,10 +571,11 @@ def scan(
             raise ValueError(f"{name} out of 32-bit range")
     if nonce_lo > nonce_hi:
         raise ValueError("empty nonce range")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
     if threads < 1:
         raise ValueError("threads must be positive")
+    chunk = effective_chunk(threads, chunk)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     s = _lane_set(work.target, mode, improvements)
 
     spans = _partition(nonce_lo, nonce_hi, threads)
@@ -594,6 +611,8 @@ def scan(
         stage1_survivors=sum(t.stage1 for t in tallies),
         stage2_survivors=sum(t.stage2 for t in tallies),
         mode="early-exit" if "2" in s else "generic",
+        chunk=chunk,
+        threads=threads,
     )
 
 
@@ -629,7 +648,7 @@ def scan_naive(
     nonce_lo: int,
     nonce_hi: int,
     *,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: int | None = None,
 ) -> ScanResult:
     """The unoptimized three-compression baseline: :func:`scan` on one
     thread with no improvements, so every lane recomputes the first

@@ -1,4 +1,5 @@
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,44 @@ class TestMine:
         multi = kv(capsys)["nonce"]
         assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
         assert kv(capsys)["nonce"] == multi
+
+class TestScanShape:
+    """mine and bench report the chunk and thread count the scan ran with."""
+
+    @pytest.mark.parametrize("extra, chunk", [
+        (("--threads", "1"), "16384"),
+        (("--threads", "2"), "65536"),
+        (("--threads", "2", "--chunk", "4096"), "4096"),
+        (("--threads", "1", "--chunk", "65536"), "65536"),
+    ])
+    def test_mine_reports_chunk(self, extra, chunk, capsys):
+        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+                       "--nonce-end", "255", *extra) == 1
+        report = kv(capsys)
+        assert report["chunk"] == chunk
+        assert report["threads"] == extra[1]
+
+    def test_mine_csv_has_chunk_and_threads(self, capsys):
+        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1", "--nonce-end", "255",
+                       "--threads", "2", "--format", "csv") == 1
+        keys, values = capsys.readouterr().out.splitlines()
+        row = dict(zip(keys.split(","), values.split(",")))
+        assert row["chunk"] == "65536" and row["threads"] == "2"
+
+    @pytest.mark.parametrize("fmt", ["kv", "csv"])
+    def test_bench_reports_chunk(self, fmt, capsys):
+        assert run_cli("bench", "--count", "4096", "--threads", "1", "--format", fmt) == 0
+        out = capsys.readouterr().out
+        if fmt == "kv":
+            assert "chunk: 16384" in out.splitlines() and "threads: 1" in out.splitlines()
+        else:
+            assert out.splitlines()[0].startswith("seed,count,threads,chunk,")
+            assert out.splitlines()[1].split(",")[2:4] == ["1", "16384"]
+
+    def test_parser_default_reads_as_one_thread_chunk(self):
+        chunk = cli.build_parser().parse_args(["mine", "--header", "00"]).chunk
+        assert isinstance(chunk, int) and chunk == 16384
+
 
 class TestVerify:
     def test_solved_header_passes(self, solved, capsys):
@@ -287,6 +326,25 @@ class TestInputChecks:
         assert run_cli("mine", "--template", str(FIXTURE), option, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("mine", "--threads", "x"),
+        ("mine", "--nonce-start", "x"),
+        ("mine", "--nonce-end", "1.5"),
+        ("mine", "--chunk", "x"),
+        ("bench", "--count", "x"),
+        ("bench", "--count", "9", "--seed", "x"),
+        ("reward", "x"),
+        ("supply", "--height", "x"),
+        ("table", "--heights", "1,x"),
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "x"),
+        ("energy", "--power-per-ghs", "x", "--rate-ghs", "1", "--price-per-kwh", "1"),
+    ])
+    def test_errors_name_no_private_helper(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not re.search(r"(?<![\w'])_[a-z]", err), err
 
     def test_short_target_is_a_number(self, capsys):
         # fewer than 64 digits read as a plain hex number: the benchmark's

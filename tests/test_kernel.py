@@ -311,6 +311,49 @@ class TestScanDecisions:
         with pytest.raises(ValueError, match="mode"):
             kern.scan(work, 0, 1, mode="turbo")
 
+class TestChunkRule:
+    """Without a chunk the scan picks one from the thread count; the chunk
+    never changes what a scan finds or counts."""
+
+    @staticmethod
+    def _outcome(res):
+        return (res.found, res.nonces_tried, res.rounds_executed,
+                res.stage1_survivors, res.stage2_survivors)
+
+    @pytest.mark.parametrize("threads, chunk", [(1, 1 << 14), (2, 1 << 16), (3, 1 << 16)])
+    def test_default_follows_threads(self, threads, chunk):
+        work = kern.prepare_header_work(random.Random(SEED + 40).randbytes(80), 1 << 150)
+        res = kern.scan(work, 0, 255, threads=threads)
+        assert kern.effective_chunk(threads) == chunk
+        assert (res.chunk, res.threads) == (chunk, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])
+    def test_explicit_chunk_kept(self, threads, chunk):
+        work = kern.prepare_header_work(random.Random(SEED + 41).randbytes(80), 1 << 150)
+        res = kern.scan(work, 0, 255, threads=threads, chunk=chunk)
+        assert kern.effective_chunk(threads, chunk) == chunk
+        assert (res.chunk, res.threads) == (chunk, threads)
+
+    def test_early_exit_exhaustive_scan_same_at_any_chunk(self):
+        work = kern.prepare_header_work(random.Random(SEED + 42).randbytes(80), 1 << 155)
+        results = [kern.scan(work, 0, (1 << 17) - 1, mode="early-exit", threads=1, chunk=c)
+                   for c in (None, 1 << 14, 1 << 16)]
+        assert results[0].found is None and results[0].nonces_tried == 1 << 17
+        assert len({self._outcome(r) for r in results}) == 1
+
+    def test_generic_find_same_at_any_chunk(self):
+        base = random.Random(SEED + 43).randbytes(80)
+        work = kern.prepare_header_work(base, 1 << 240)
+        results = [kern.scan(work, 0, kern.MASK32, threads=1, chunk=c)
+                   for c in (None, 1 << 14, 1 << 16)]
+        found = results[0].found
+        assert found is not None and results[0].mode == "generic"
+        assert results[0].nonces_tried == found.nonce + 1
+        assert found.digest == _dsha(_header_at(base, found.nonce))
+        assert len({self._outcome(r) for r in results}) == 1
+
+
 class TestInstrumentation:
     def test_early_round_accounting(self):
         base = random.Random(SEED + 23).randbytes(80)

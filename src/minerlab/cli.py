@@ -7,6 +7,7 @@ Exit codes are a stable scripting contract: 0 success, 1 domain negative
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import random
@@ -39,8 +40,9 @@ def _emit(pairs, fmt: str, out=None) -> None:
     """``key: value`` lines for ``kv``; a header row and a value row for ``csv``."""
     out = out or sys.stdout
     if fmt == "csv":
-        print(",".join(str(k) for k, _ in pairs), file=out)
-        print(",".join(str(v) for _, v in pairs), file=out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(k for k, _ in pairs)
+        writer.writerow(v for _, v in pairs)
     else:
         for k, v in pairs:
             print(f"{k}: {v}", file=out)

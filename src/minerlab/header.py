@@ -17,7 +17,6 @@ from typing import Sequence
 from . import sha256 as sha
 
 HEADER_LEN = 80
-NONCE_OFFSET = 76
 MAX_TARGET = (1 << 256) - 1
 _HEADER_FMT = "<i32s32sIII"
 

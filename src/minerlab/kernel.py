@@ -25,26 +25,34 @@ pipeline.  Whatever the set, results are bit-identical to the reference in
   pre-folded K_t + W_t, one addition less per round: the zeros and the
   0x80000000 marker under 5, the two length words under 6, and W16/W17
   when 7 precomputes them.  Off, W and K are added separately.
-* 2: the third compression stops after round 60: digest word 7 equals the
-  E value produced at round 60 plus the IV constant 0x5BE0CD19, and any
-  target below 2^224 accepts only digests whose word 7 is zero, so every
-  lane whose round-60 E value differs from 0xA41F32E7 = 2^32 - 0x5BE0CD19
-  is rejected three rounds early.  When the target is below 2^192 word 6
-  must be zero as well, which pins the E value of round 61 to 0xE07C2655
-  and rejects stage-1 survivors after one more round.  Survivors (about one
-  in 2^32) are completed and compared exactly.  Off, all 64 rounds run and
-  the full 256-bit comparison decides.
+* 2: the third compression stops after round 60, whose E value plus the
+  IV constant 0x5BE0CD19 is digest word 7: rounds 61..63 only shift it on
+  into register H.  Off, all 64 rounds run.
 
 Flags X and X2 (carry-save adders) exist only in the gate-level model of
 :mod:`minerlab.costs`; they have no effect on the lanes.
 
-Targets of 2^224 and above (desk-scale difficulty) make flag 2 unsound, so
-generic mode runs the requested set without it.
+The nonce-independent bases are the reference of :mod:`minerlab.sha256`
+run at nonce 0: the second compression's schedule and its state after
+round 3.  The lanes add only the nonce terms.
+
+Every pipeline filters on that one word.  Byteswapped, digest word 7 is
+the hash's most significant 32-bit limb, so a lane can qualify only when
+it is at most ``target >> 224``.  Below 2^224 that limb is zero and only
+lanes whose round-60 E value is 0xA41F32E7 = 2^32 - 0x5BE0CD19 pass, about
+one in 2^32.  The lanes that pass are re-derived through the scalar
+reference path (:func:`complete_nonce`), which decides exactly, so the
+lanes never act as their own referee; the filter passes at most 2^-32
+extra lanes per nonce, those whose word 7 ties the target's top limb.
+Under flag 2 a target below 2^192 also needs word 6 zero, which pins the
+E value of round 61 to 0xE07C2655; the referee reads word 6 off the digest
+it completes and counts the lanes that pass as stage-2 survivors.  Early
+exit is thus sound at every target, but
+``mode="auto"`` keeps flag 2 only below 2^224 and scans desk-scale
+targets in generic mode.
 
 The per-nonce arithmetic is vectorized over chunks of nonces as numpy
-uint32 lanes.  Candidates that pass the vector filter are re-derived
-through the scalar reference path before being reported, so the lanes
-never act as their own referee.
+uint32 lanes.
 
 Cost instrumentation counts block-cipher rounds and reports them in units
 of whole 64-round compressions.  The rounds are counted from the rounds
@@ -78,7 +86,7 @@ MASK32 = 0xFFFFFFFF
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
 
-WORD7_TARGET_BOUND = 1 << 224  # early exit sound strictly below this
+WORD7_TARGET_BOUND = 1 << 224  # auto mode keeps flag 2 strictly below this
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
 # Second-compression constant message words: 0x80000000 marker, ten zeros,
@@ -95,7 +103,8 @@ _UNFOLDED = (None,) * 64
 
 # Third-compression folded K+W, None where W varies: the same for every work item.
 KW_COMP3 = tuple(
-    (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if 8 <= t < 16 else None for t in range(64)
+    (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if t in _FOLD_FLAGS_COMP3 else None
+    for t in range(64)
 )
 
 REJECT_E60 = (1 << 32) - sha.IV.h  # 0xA41F32E7
@@ -104,21 +113,17 @@ REJECT_E61 = (1 << 32) - sha.IV.g  # 0xE07C2655
 
 @dataclass(frozen=True)
 class PreparedWork:
-    """Everything nonce-independent, computed once per work item.
+    """Everything nonce-independent, computed once per work item: the
+    reference run at nonce 0.
 
     Immutable and safe to share across concurrent scanners.
     """
 
     midstate: sha.State
     block1: tuple  # header words 0..15, for lanes that recompute the midstate
-    w_head: tuple[int, int, int]  # second-compression words 0..2
+    sched0: tuple  # second-compression schedule W0..W63 at nonce 0
     state_r3: sha.State  # state entering round 3
-    t1_base: int  # h + Sigma1(e) + Ch(e,f,g) + K[3] at round 3
-    t2_r3: int  # Sigma0(a) + Maj(a,b,c) at round 3
-    w16: int
-    w17: int
-    w18_base: int  # sigma1(W16) + W2; add sigma0(nonce) per nonce
-    w19_base: int  # sigma1(W17) + sigma0(0x80000000); add nonce
+    state_r4: sha.State  # state after round 3 at nonce 0; nonce n adds n to A and E
     kw_comp2: tuple  # per-round folded K+W, None where W varies
     target: int
 
@@ -168,45 +173,20 @@ def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> Prepa
     if target >= 1 << 256:
         raise ValueError("target overflows 256 bits")
     midstate = compute_midstate(header_prefix)
-    w0, w1, w2 = struct.unpack(">3I", header_tail)
-
-    state = midstate
-    for t, w in enumerate((w0, w1, w2)):
-        state = sha.compression_round(state, w, sha.K[t])
-
-    t1_base = (
-        state.h
-        + sha.big_sigma1(state.e)
-        + sha.choice(state.e, state.f, state.g)
-        + sha.K[3]
-    ) & MASK32
-    t2_r3 = (sha.big_sigma0(state.a) + sha.majority(state.a, state.b, state.c)) & MASK32
-
-    # W16/W17 from the schedule recurrence; the nonce (word 3) is not an
-    # input to either.  Words 9, 10 and 12 are padding zeros.
-    w16 = (sha.little_sigma0(w1) + w0) & MASK32
-    w17 = (sha.little_sigma1(640) + sha.little_sigma0(w2) + w1) & MASK32
-    w18_base = (sha.little_sigma1(w16) + w2) & MASK32
-    w19_base = (sha.little_sigma1(w17) + sha.little_sigma0(0x80000000)) & MASK32
-
-    kw_comp2 = [None] * 64
-    for t, w in enumerate(_COMP2_PAD, start=4):
-        kw_comp2[t] = (sha.K[t] + w) & MASK32
-    kw_comp2[16] = (sha.K[16] + w16) & MASK32
-    kw_comp2[17] = (sha.K[17] + w17) & MASK32
-
+    sched0 = tuple(sha.expand_schedule(struct.unpack(">3I", header_tail) + (0,) + _COMP2_PAD))
+    state_r3 = midstate
+    for t in range(3):
+        state_r3 = sha.compression_round(state_r3, sched0[t], sha.K[t])
     return PreparedWork(
         midstate=midstate,
         block1=struct.unpack(">16I", header_prefix),
-        w_head=(w0, w1, w2),
-        state_r3=state,
-        t1_base=t1_base,
-        t2_r3=t2_r3,
-        w16=w16,
-        w17=w17,
-        w18_base=w18_base,
-        w19_base=w19_base,
-        kw_comp2=tuple(kw_comp2),
+        sched0=sched0,
+        state_r3=state_r3,
+        state_r4=sha.compression_round(state_r3, 0, sha.K[3]),
+        kw_comp2=tuple(
+            (sha.K[t] + sched0[t]) & MASK32 if t in _FOLD_FLAGS_COMP2 else None
+            for t in range(64)
+        ),
         target=target,
     )
 
@@ -273,9 +253,6 @@ class _Lanes:
         self.t1, self.t2 = mk(), mk()
         self.ta, self.tb, self.tc, self.td = mk(), mk(), mk(), mk()
         self.nonces = mk()
-        self.blt = np.zeros(width, dtype=bool)
-        self.beq = np.zeros(width, dtype=bool)
-        self.btmp = np.zeros(width, dtype=bool)
 
     def view(self, m: int) -> "_Lanes":
         """The first ``m`` lanes of every buffer, sharing their memory."""
@@ -346,26 +323,6 @@ class _Lanes:
         for reg, add, dst in zip(self.regs, base, out):
             np.add(reg, add, dst)
 
-    def accept_mask(self, target: int) -> np.ndarray:
-        """Vector hash < target over the digest words currently in regs.
-
-        The hash integer reads the digest little-endian, so its 32-bit
-        limbs are the byteswapped words, word 7 most significant.
-        Byteswaps the register buffers in place.
-        """
-        lt, eq, tmp = self.blt, self.beq, self.btmp
-        lt[:] = False
-        eq[:] = True
-        for i in range(7, -1, -1):
-            word = self.regs[i].byteswap(inplace=True)
-            limb = (target >> (32 * i)) & MASK32
-            np.less(word, limb, tmp)
-            np.logical_and(tmp, eq, tmp)
-            np.logical_or(lt, tmp, lt)
-            np.equal(word, limb, tmp)
-            np.logical_and(eq, tmp, eq)
-        return lt
-
 
 def _folded(kw_table, fold_flags, s: ImprovementSet) -> list:
     """``kw_table`` with the folds whose flag ``s`` lacks undone."""
@@ -377,9 +334,10 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
     and return the rounds each lane ran.
 
     Afterwards the registers hold the third compression's state after
-    round 60 under flag 2, and the digest words otherwise.
+    round 60 under flag 2 and after round 63 otherwise, before the
+    feedforward.
     """
-    n, ring = lanes.nonces, lanes.ring
+    n, ring, sched0 = lanes.nonces, lanes.ring, work.sched0
     midstate = work.midstate
     rounds = 0
     if "1" not in s:  # first compression, recomputed per lane
@@ -391,17 +349,13 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
         midstate = lanes.mids
 
     # second compression: header tail, nonce, padding
-    for slot, w in enumerate(work.w_head):
-        ring[slot][:] = w
+    for slot in range(16):
+        ring[slot][:] = sched0[slot]
     np.copyto(ring[3], n)
-    for slot, w in enumerate(_COMP2_PAD, start=4):
-        ring[slot][:] = w
-    if "4" in s:
-        r3 = work.state_r3
-        lanes.fill_regs((0, r3.a, r3.b, r3.c, 0, r3.e, r3.f, r3.g))
-        np.add(n, work.t1_base, lanes.t1)
-        np.add(lanes.t1, work.t2_r3, lanes.regs[0])
-        np.add(lanes.t1, r3.d, lanes.regs[4])
+    if "4" in s:  # round 3 at nonce n: the nonce-0 state with n added to A and E
+        lanes.fill_regs(work.state_r4)
+        np.add(lanes.regs[0], n, lanes.regs[0])
+        np.add(lanes.regs[4], n, lanes.regs[4])
         # the incremental round 3 counts as a round (61 per compression, not
         # 60), matching the convention that early exit alone brings the
         # per-nonce cost to 2 * 61/64 = 1.906 compressions
@@ -419,13 +373,13 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
 
         def w18(out):
             _vlittle_sigma0(n, out, lanes.tc, lanes.td)
-            np.add(out, work.w18_base, out)
+            np.add(out, sched0[18], out)
 
-        fixed_words[16] = lambda out: out.fill(work.w16)
-        fixed_words[17] = lambda out: out.fill(work.w17)
+        fixed_words[16] = lambda out: out.fill(sched0[16])
+        fixed_words[17] = lambda out: out.fill(sched0[17])
         fixed_words[18] = w18
     if "8" in s:
-        fixed_words[19] = lambda out: np.add(n, work.w19_base, out)
+        fixed_words[19] = lambda out: np.add(n, sched0[19], out)
     rounds += lanes.compress(_folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s), first, 63, fixed_words)
     lanes.feedforward(midstate, ring)
 
@@ -434,8 +388,6 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
         ring[slot][:] = w
     lanes.fill_regs(sha.IV)
     rounds += lanes.compress(_folded(KW_COMP3, _FOLD_FLAGS_COMP3, s), 0, 60 if "2" in s else 63)
-    if "2" not in s:
-        lanes.feedforward(sha.IV, lanes.regs)
     return rounds
 
 
@@ -450,8 +402,6 @@ def _lane_set(target: int, mode: str, improvements: ImprovementSet) -> Improveme
     elif mode == "early-exit":
         if "2" not in improvements:
             raise ValueError("early-exit mode needs improvement 2")
-        if target >= WORD7_TARGET_BOUND:
-            raise ValueError("early-exit filter unsound for target >= 2^224")
         early = True
     elif mode == "generic":
         early = False
@@ -463,9 +413,7 @@ def _lane_set(target: int, mode: str, improvements: ImprovementSet) -> Improveme
 def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     """Full double hash of the work item at one nonce via the reference
     rounds, starting from the shared midstate."""
-    w0, w1, w2 = work.w_head
-    block2 = (w0, w1, w2, nonce) + _COMP2_PAD
-    h1 = sha.compress(work.midstate, block2)
+    h1 = sha.compress(work.midstate, work.sched0[:3] + (nonce,) + _COMP2_PAD)
     block3 = tuple(h1) + _COMP3_PAD
     return sha.state_bytes(sha.compress(sha.IV, block3))
 
@@ -485,6 +433,8 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
     offsets = np.arange(width, dtype=np.uint32)
     tally = _RangeTally()
     early = "2" in s
+    e60 = 4 if early else 7  # the register holding round 60's E value
+    top_limb = np.uint32(work.target >> 224)
     stage2_active = work.target < WORD6_TARGET_BOUND
     pos = lo
     while pos <= hi:
@@ -494,10 +444,9 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
         lanes = buffers.view(m)
         np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
         per_lane = _chunk(work, lanes, s)
-        if early:
-            candidates = np.nonzero(lanes.regs[4] == np.uint32(REJECT_E60))[0]
-        else:
-            candidates = np.nonzero(lanes.accept_mask(work.target))[0]
+        # digest word 7 byteswapped is the hash's top limb; the referee decides ties
+        word7 = np.add(lanes.regs[e60], np.uint32(sha.IV.h), lanes.t1)
+        candidates = np.nonzero(word7.byteswap(inplace=True) <= top_limb)[0]
         for lane in candidates.tolist():
             digest = complete_nonce(work, pos + lane)  # scalar referee
             if early:
@@ -557,7 +506,8 @@ def scan(
     nonce if one exists.
 
     The lanes run the pipeline ``improvements`` selects; ``mode="generic"``
-    (or ``"auto"`` at a target of 2^224 or above) drops flag 2.  ``chunk``
+    (or ``"auto"`` at a target of 2^224 or above) drops flag 2, and
+    ``mode="early-exit"`` keeps it at any target.  ``chunk``
     lanes run per numpy call; None picks :func:`effective_chunk`.
 
     The range is split into ``threads`` contiguous subranges: the calling
@@ -637,8 +587,7 @@ def evaluate_digests(work: PreparedWork, nonces: Sequence[int] | np.ndarray) -> 
         lanes = buffers.view(part.size)
         np.copyto(lanes.nonces, part)
         _chunk(work, lanes, s)
-        for i in range(8):
-            out[i, start : start + part.size] = lanes.regs[i]
+        lanes.feedforward(sha.IV, out[:, start : start + part.size])
     return out
 
 

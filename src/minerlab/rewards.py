@@ -48,16 +48,11 @@ MAX_SUPPLY_HEIGHT = 100_000_000  # the exact supply's denominator has 2.75 M bit
 
 ScheduleKind = Literal["original", "proposed"]
 
-# Heights of the published old-versus-new comparison table, and the BTC
-# values it printed. The 420,336 entry is known to disagree with the exact
-# formula value (printed 24.97; the formula gives 25 * 624/625 = 24.96).
+# Heights of the published old-versus-new comparison table, and the new
+# schedule's BTC values it printed. The 420,336 entry is known to disagree
+# with the exact formula value (printed 24.97; the formula gives
+# 25 * 624/625 = 24.96).
 TABLE_HEIGHTS = (105_000, 210_000, 420_000, 420_336, 525_000, 630_000, 840_000, 1_050_000)
-PUBLISHED_OLD_BTC = {
-    105_000: Fraction("50.0"), 210_000: Fraction("25.0"),
-    420_000: Fraction("12.5"), 420_336: Fraction("12.5"),
-    525_000: Fraction("12.5"), 630_000: Fraction("6.25"),
-    840_000: Fraction("3.125"), 1_050_000: Fraction("1.5625"),
-}
 PUBLISHED_NEW_BTC = {
     105_000: Fraction("50.0"), 210_000: Fraction("25.0"),
     420_000: Fraction("25.0"), 420_336: Fraction("24.97"),

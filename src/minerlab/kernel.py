@@ -47,9 +47,9 @@ extra lanes per nonce, those whose word 7 ties the target's top limb.
 Under flag 2 a target below 2^192 also needs word 6 zero, which pins the
 E value of round 61 to 0xE07C2655; the referee reads word 6 off the digest
 it completes and counts the lanes that pass as stage-2 survivors.  Early
-exit is thus sound at every target, but
-``mode="auto"`` keeps flag 2 only below 2^224 and scans desk-scale
-targets in generic mode.
+exit is thus sound at every target: a scan runs exactly the set it is
+given, and which set suits which target is the caller's choice (``mine
+--mode``).
 
 The per-nonce arithmetic is vectorized over chunks of nonces as numpy
 uint32 lanes.
@@ -70,7 +70,6 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,7 +85,6 @@ MASK32 = 0xFFFFFFFF
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
 
-WORD7_TARGET_BOUND = 1 << 224  # auto mode keeps flag 2 strictly below this
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
 # Second-compression constant message words: 0x80000000 marker, ten zeros,
@@ -106,9 +104,6 @@ KW_COMP3 = tuple(
     (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if t in _FOLD_FLAGS_COMP3 else None
     for t in range(64)
 )
-
-REJECT_E60 = (1 << 32) - sha.IV.h  # 0xA41F32E7
-REJECT_E61 = (1 << 32) - sha.IV.g  # 0xE07C2655
 
 
 @dataclass(frozen=True)
@@ -147,39 +142,31 @@ class ScanResult:
     threads: int
 
 
-def compute_midstate(header_prefix: bytes) -> sha.State:
-    """Compress the first 64 header bytes from the IV.
-
-    Identical for every nonce of the work item; its cost amortizes to
-    2^-32 compressions per nonce.
-    """
-    if len(header_prefix) != 64:
-        raise ValueError(f"midstate needs exactly 64 bytes, got {len(header_prefix)}")
-    return sha.compress(sha.IV, struct.unpack(">16I", header_prefix))
-
-
-def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> PreparedWork:
+def prepare_header_work(header: bytes, target: int) -> PreparedWork:
     """Fold all nonce-independent work for one (header, target) pair.
 
-    ``header_prefix`` is header bytes 0..63, the first compression's block.
-    ``header_tail`` is header bytes 64..75: the last merkle-root word, the
-    timestamp and the compact target, i.e. everything in the nonce-bearing
-    block except the nonce itself.
+    ``header`` is the serialized header, 76 bytes or 80 with the nonce
+    field, which is ignored.  Bytes 0..63 are the first compression's
+    block; its output, the midstate, is the same for every nonce, so its
+    cost amortizes to 2^-32 compressions per nonce.  Bytes 64..75 (the
+    last merkle-root word, the timestamp and the compact target) are the
+    nonce-bearing block less the nonce itself.
     """
-    if len(header_tail) != 12:
-        raise ValueError(f"header tail must be 12 bytes, got {len(header_tail)}")
+    if len(header) not in (76, 80):
+        raise ValueError("header must be 76 or 80 bytes")
     if target <= 0:
         raise ValueError("zero target")
     if target >= 1 << 256:
         raise ValueError("target overflows 256 bits")
-    midstate = compute_midstate(header_prefix)
-    sched0 = tuple(sha.expand_schedule(struct.unpack(">3I", header_tail) + (0,) + _COMP2_PAD))
+    block1 = struct.unpack(">16I", header[:64])
+    midstate = sha.compress(sha.IV, block1)
+    sched0 = tuple(sha.expand_schedule(struct.unpack(">3I", header[64:76]) + (0,) + _COMP2_PAD))
     state_r3 = midstate
     for t in range(3):
         state_r3 = sha.compression_round(state_r3, sched0[t], sha.K[t])
     return PreparedWork(
         midstate=midstate,
-        block1=struct.unpack(">16I", header_prefix),
+        block1=block1,
         sched0=sched0,
         state_r3=state_r3,
         state_r4=sha.compression_round(state_r3, 0, sha.K[3]),
@@ -189,13 +176,6 @@ def prepare_work(header_prefix: bytes, header_tail: bytes, target: int) -> Prepa
         ),
         target=target,
     )
-
-
-def prepare_header_work(header: bytes, target: int) -> PreparedWork:
-    """Prepare work directly from serialized header bytes (nonce ignored)."""
-    if len(header) not in (76, 80):
-        raise ValueError("header must be 76 or 80 bytes")
-    return prepare_work(header[:64], header[64:76], target)
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +375,6 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
 # Scanning.
 
 
-def _lane_set(target: int, mode: str, improvements: ImprovementSet) -> ImprovementSet:
-    """The set the lanes run: ``mode`` decides only whether flag 2 stays."""
-    if mode == "auto":
-        early = "2" in improvements and target < WORD7_TARGET_BOUND
-    elif mode == "early-exit":
-        if "2" not in improvements:
-            raise ValueError("early-exit mode needs improvement 2")
-        early = True
-    elif mode == "generic":
-        early = False
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
-    return improvements if early else ImprovementSet(improvements.flags - {"2"})
-
-
 def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     """Full double hash of the work item at one nonce via the reference
     rounds, starting from the shared midstate."""
@@ -497,18 +462,17 @@ def scan(
     nonce_lo: int,
     nonce_hi: int,
     *,
-    mode: str = "auto",
+    improvements: ImprovementSet = ImprovementSet.full(),
     threads: int = 1,
     chunk: int | None = None,
-    improvements: ImprovementSet = ImprovementSet.full(),
 ) -> ScanResult:
     """Scan the inclusive nonce range, returning the smallest qualifying
     nonce if one exists.
 
-    The lanes run the pipeline ``improvements`` selects; ``mode="generic"``
-    (or ``"auto"`` at a target of 2^224 or above) drops flag 2, and
-    ``mode="early-exit"`` keeps it at any target.  ``chunk``
-    lanes run per numpy call; None picks :func:`effective_chunk`.
+    The lanes run exactly the pipeline ``improvements`` selects, at any
+    target; the result's ``mode`` is ``"early-exit"`` when the set holds
+    flag 2 and ``"generic"`` otherwise.  ``chunk`` lanes run per numpy
+    call; None picks :func:`effective_chunk`.
 
     The range is split into ``threads`` contiguous subranges: the calling
     thread scans the lowest and a pool of up to ``os.cpu_count()`` threads
@@ -526,7 +490,6 @@ def scan(
     chunk = effective_chunk(threads, chunk)
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    s = _lane_set(work.target, mode, improvements)
 
     spans = _partition(nonce_lo, nonce_hi, threads)
     found_flags = [False] * len(spans)
@@ -536,7 +499,7 @@ def scan(
             # a find in a lower subrange always wins; stop wasting work
             return any(found_flags[:idx])
 
-        tally = _scan_range(work, *spans[idx], s, chunk, should_abort)
+        tally = _scan_range(work, *spans[idx], improvements, chunk, should_abort)
         if tally.found is not None:
             found_flags[idx] = True
         return tally
@@ -560,35 +523,10 @@ def scan(
         compressions_equivalent=rounds / 64 / consumed if consumed else 0.0,
         stage1_survivors=sum(t.stage1 for t in tallies),
         stage2_survivors=sum(t.stage2 for t in tallies),
-        mode="early-exit" if "2" in s else "generic",
+        mode="early-exit" if "2" in improvements else "generic",
         chunk=chunk,
         threads=threads,
     )
-
-
-def evaluate_digests(work: PreparedWork, nonces: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Digest words for arbitrary nonces via the vector pipeline.
-
-    Returns an (8, n) uint32 array, row i holding digest word i. Intended
-    for verification and batch analysis; scanning should use :func:`scan`.
-    """
-    arr = np.asarray(nonces, dtype=np.uint64)
-    if arr.ndim != 1:
-        raise ValueError("nonces must be one-dimensional")
-    if arr.size and int(arr.max()) > MASK32:
-        raise ValueError("nonce out of 32-bit range")
-    arr = arr.astype(np.uint32)
-    out = np.empty((8, arr.size), dtype=np.uint32)
-    s = _lane_set(work.target, "generic", ImprovementSet.full())
-    width = min(DEFAULT_CHUNK, max(arr.size, 1))
-    buffers = _Lanes(width)
-    for start in range(0, arr.size, width):
-        part = arr[start : start + width]
-        lanes = buffers.view(part.size)
-        np.copyto(lanes.nonces, part)
-        _chunk(work, lanes, s)
-        lanes.feedforward(sha.IV, out[:, start : start + part.size])
-    return out
 
 
 def scan_naive(

@@ -90,6 +90,34 @@ class TestMine:
         assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
         assert kv(capsys)["nonce"] == multi
 
+class TestModeMapping:
+    """``mine --mode`` picks the improvement set: early-exit keeps flag 2,
+    generic drops it, auto keeps it only below 2^224."""
+
+    def test_desk_target(self, solved, capsys):
+        # the fixture's target is 2^240
+        _raw, _target, found = solved
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
+        auto = kv(capsys)
+        assert auto["mode"] == "generic" and auto["nonce"] == f"0x{found.nonce:08x}"
+        assert int(auto["rounds_executed"]) == 125 * int(auto["nonces_tried"])
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
+                       "--mode", "early-exit") == 0
+        early = kv(capsys)
+        assert early["mode"] == "early-exit" and early["nonce"] == auto["nonce"]
+        assert early["nonces_tried"] == auto["nonces_tried"]
+        # above 2^192 each filter survivor also runs rounds 61..63
+        n, survivors = int(early["nonces_tried"]), int(early["stage1_survivors"])
+        assert int(early["rounds_executed"]) == 122 * n + 3 * survivors
+
+    @pytest.mark.parametrize("extra, mode", [((), "early-exit"),
+                                             (("--mode", "generic"), "generic")])
+    def test_below_word7_bound(self, extra, mode, capsys):
+        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1", "--threads", "1",
+                       "--nonce-end", "4095", *extra) == 1
+        assert kv(capsys)["mode"] == mode
+
+
 class TestScanShape:
     """mine and bench report the chunk and thread count the scan ran with."""
 
@@ -339,6 +367,28 @@ class TestInputChecks:
         assert run_cli("mine", "--template", str(FIXTURE), option, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("mine", "--template", str(FIXTURE), "--header", "00"),
+        ("mine", "--template", str(FIXTURE), "--target", "1", "--nbits", "1d00ffff"),
+        ("retarget-sim", "--nbits", "1d00ffff", "--target", "1", "--spans", "100"),
+    ])
+    def test_conflicting_options_rejected(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not allowed with" in err
+
+    @pytest.mark.parametrize("seed", ["-1", hex(1 << 64)])
+    def test_bench_seed_out_of_range(self, seed, capsys):
+        assert run_cli("bench", "--count", "1", "--seed", seed) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bench_seed_top_of_range(self, capsys):
+        assert run_cli("bench", "--count", "1", "--threads", "1",
+                       "--seed", hex((1 << 64) - 1)) == 0
+        assert kv(capsys)["seed"] == "0xffffffffffffffff"
 
     @pytest.mark.parametrize("argv", [
         ("mine", "--threads", "x"),

@@ -2,7 +2,6 @@ import hashlib
 import random
 import struct
 
-import numpy as np
 import pytest
 
 import minerlab.costs as costs
@@ -11,6 +10,11 @@ import minerlab.kernel as kern
 import minerlab.sha256 as sha
 
 SEED = 0x4EE1_0001
+
+# The sets ``mine --mode`` maps to: early exit keeps flag 2, generic drops it.
+FULL = costs.ImprovementSet.full()
+GENERIC = costs.ImprovementSet(FULL.flags - {"2"})
+MODE_SETS = {"early-exit": FULL, "generic": GENERIC}
 
 def _rand_header(rng) -> bytes:
     return rng.randbytes(80)
@@ -29,19 +33,19 @@ class TestMidstate:
         for _ in range(20):
             prefix = rng.randbytes(64)
             want = sha.compress(sha.IV, struct.unpack(">16I", prefix))
-            assert kern.compute_midstate(prefix) == want
+            assert kern.prepare_header_work(prefix + bytes(12), 1).midstate == want
 
     def test_independent_of_trailing_bytes(self):
         rng = random.Random(SEED + 1)
         base = _rand_header(rng)
-        m0 = kern.compute_midstate(base[:64])
+        m0 = kern.prepare_header_work(base, 1).midstate
         for _ in range(10):
             other = base[:64] + rng.randbytes(16)
-            assert kern.compute_midstate(other[:64]) == m0
+            assert kern.prepare_header_work(other, 1).midstate == m0
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            kern.compute_midstate(b"\x00" * 63)
+            kern.prepare_header_work(b"\x00" * 63, 1)
 
     def test_amortized_cost_model(self):
         from fractions import Fraction
@@ -59,7 +63,7 @@ class TestPrepareWork:
         for _ in range(20):
             base = _rand_header(rng)
             work = kern.prepare_header_work(base, target=1 << 200)
-            state = kern.compute_midstate(base[:64])
+            state = work.midstate
             w = struct.unpack(">3I", base[64:76])
             for t in range(3):
                 state = sha.compression_round(state, w[t], sha.K[t])
@@ -118,11 +122,11 @@ class TestPrepareWork:
 
     def test_bad_tail_length(self):
         with pytest.raises(ValueError):
-            kern.prepare_work(bytes(64), b"\x00" * 11, 1 << 200)
+            kern.prepare_header_work(bytes(75), 1 << 200)
 
 class TestRejectionConstants:
     def test_complements_of_iv(self):
-        e60, e61 = kern.REJECT_E60, kern.REJECT_E61
+        e60, e61 = (1 << 32) - sha.IV.h, (1 << 32) - sha.IV.g
         assert e60 == 0xA41F32E7
         assert e61 == 0xE07C2655
         assert (0x5BE0CD19 + e60) % 2**32 == 0
@@ -132,7 +136,7 @@ class TestRejectionConstants:
         # build round-61 states that hit both constants and complete them:
         # digest words 7 and 6 must come out zero regardless of the rest
         rng = random.Random(SEED + 8)
-        e60, e61 = kern.REJECT_E60, kern.REJECT_E61
+        e60, e61 = (1 << 32) - sha.IV.h, (1 << 32) - sha.IV.g
         for _ in range(120):
             a, b, c, f, g, h = (rng.getrandbits(32) for _ in range(6))
             e = e60
@@ -171,7 +175,7 @@ class TestScanDecisions:
             nonce = rng.getrandbits(32)
             target = rng.randrange(1 << 224, 1 << 250)
             work = kern.prepare_header_work(base, target)
-            res = kern.scan(work, nonce, nonce)
+            res = kern.scan(work, nonce, nonce, improvements=GENERIC)
             assert res.mode == "generic"
             digest = sha.sha256d(_header_at(base, nonce))
             want = hdr.meets_target(digest, target)
@@ -294,8 +298,8 @@ class TestScanDecisions:
         base = random.Random(SEED + 19 + target_bits).randbytes(80)
         target = 1 << target_bits
         work = kern.prepare_header_work(base, target)
-        early = kern.scan(work, 0, (1 << 20) - 1, mode="early-exit", chunk=4096)
-        generic = kern.scan(work, 0, (1 << 20) - 1, mode="generic", chunk=4096)
+        early = kern.scan(work, 0, (1 << 20) - 1, chunk=4096)
+        generic = kern.scan(work, 0, (1 << 20) - 1, improvements=GENERIC, chunk=4096)
         want = next(n for n in range(1 << 20)
                     if hdr.meets_target(_dsha(_header_at(base, n)), target))
         assert early.mode == "early-exit" and generic.mode == "generic"
@@ -313,7 +317,7 @@ class TestScanDecisions:
         value = hdr.hash_to_int(digest)
         for target, found in ((value, False), (value + 1, True)):
             work = kern.prepare_header_work(base, target)
-            res = kern.scan(work, 77, 77, mode=mode)
+            res = kern.scan(work, 77, 77, improvements=MODE_SETS[mode])
             assert (res.found is not None) is found
             assert res.nonces_tried == 1
             if found:
@@ -330,19 +334,6 @@ class TestScanDecisions:
         work = kern.prepare_header_work(base, 1 << 200)
         with pytest.raises(ValueError):
             kern.scan(work, 0, 1 << 32)
-
-    def test_early_exit_mode_needs_flag_2(self):
-        base = random.Random(SEED + 31).randbytes(80)
-        work = kern.prepare_header_work(base, 1 << 200)
-        with pytest.raises(ValueError, match="improvement 2"):
-            kern.scan(work, 0, 10, mode="early-exit",
-                      improvements=costs.ImprovementSet.of("1", "3"))
-
-    def test_unknown_mode(self):
-        base = random.Random(SEED + 22).randbytes(80)
-        work = kern.prepare_header_work(base, 1 << 200)
-        with pytest.raises(ValueError, match="mode"):
-            kern.scan(work, 0, 1, mode="turbo")
 
 class TestChunkRule:
     """Without a chunk the scan picks one from the thread count; the chunk
@@ -370,7 +361,7 @@ class TestChunkRule:
 
     def test_early_exit_exhaustive_scan_same_at_any_chunk(self):
         work = kern.prepare_header_work(random.Random(SEED + 42).randbytes(80), 1 << 155)
-        results = [kern.scan(work, 0, (1 << 17) - 1, mode="early-exit", threads=1, chunk=c)
+        results = [kern.scan(work, 0, (1 << 17) - 1, threads=1, chunk=c)
                    for c in (None, 1 << 14, 1 << 16)]
         assert results[0].found is None and results[0].nonces_tried == 1 << 17
         assert len({self._outcome(r) for r in results}) == 1
@@ -378,7 +369,7 @@ class TestChunkRule:
     def test_generic_find_same_at_any_chunk(self):
         base = random.Random(SEED + 43).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 240)
-        results = [kern.scan(work, 0, kern.MASK32, threads=1, chunk=c)
+        results = [kern.scan(work, 0, kern.MASK32, improvements=GENERIC, threads=1, chunk=c)
                    for c in (None, 1 << 14, 1 << 16)]
         found = results[0].found
         assert found is not None and results[0].mode == "generic"
@@ -401,7 +392,7 @@ class TestInstrumentation:
     def test_generic_round_accounting(self):
         base = random.Random(SEED + 24).randbytes(80)
         work = kern.prepare_header_work(base, target=1 << 230)
-        res = kern.scan(work, 0, (1 << 14) - 1, mode="generic")
+        res = kern.scan(work, 0, (1 << 14) - 1, improvements=GENERIC)
         if res.found is None:
             assert res.rounds_executed == 125 * res.nonces_tried
         assert abs(res.compressions_equivalent - 125 / 64) < 1e-12
@@ -414,32 +405,6 @@ class TestInstrumentation:
         assert res.found is None
         assert res.stage1_survivors <= 2
         assert res.stage2_survivors <= res.stage1_survivors
-
-class TestEvaluateDigests:
-    def test_against_hashlib(self):
-        rng = random.Random(SEED + 26)
-        base = _rand_header(rng)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        nonces = [rng.getrandbits(32) for _ in range(500)]
-        words = kern.evaluate_digests(work, nonces)
-        assert words.shape == (8, 500)
-        for j in (0, 1, 7, 499, 250):
-            want = _dsha(_header_at(base, nonces[j]))
-            got = b"".join(int(words[i, j]).to_bytes(4, "big") for i in range(8))
-            assert got == want
-
-    def test_validates_input(self):
-        base = random.Random(SEED + 27).randbytes(80)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        with pytest.raises(ValueError):
-            kern.evaluate_digests(work, [1 << 32])
-        with pytest.raises(ValueError):
-            kern.evaluate_digests(work, [[1, 2]])
-
-    def test_empty_input(self):
-        base = random.Random(SEED + 28).randbytes(80)
-        work = kern.prepare_header_work(base, target=1 << 200)
-        assert kern.evaluate_digests(work, []).shape == (8, 0)
 
 class TestNaiveScan:
     def test_agrees_with_optimized(self):
@@ -498,7 +463,7 @@ class TestImprovementSubsets:
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo = nonce - 2048
         for s in (s for s in LANE_SETS if "2" in s):
-            res = kern.scan(work, lo, lo + 4095, mode="early-exit", improvements=s)
+            res = kern.scan(work, lo, lo + 4095, improvements=s)
             assert res.found is not None, str(s)
             assert (res.found.nonce, res.found.digest) == (nonce, digest), str(s)
             assert res.nonces_tried == nonce - lo + 1

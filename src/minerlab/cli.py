@@ -142,14 +142,14 @@ def cmd_mine(args) -> int:
     lo, hi = args.nonce_start, args.nonce_end
     if not 0 <= lo <= 0xFFFFFFFF or not 0 <= hi <= 0xFFFFFFFF:
         raise ValueError("nonce bounds out of 32-bit range")
-    pairs = [("target", f"{target:064x}"), ("mode", args.mode)]
-    if lo > hi:
-        _emit(pairs + [("result", "exhausted"), ("nonces_tried", 0)], args.format)
-        return EXIT_NEGATIVE
-
     full = costs.ImprovementSet.full()
     early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
     improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
+    if lo > hi:
+        _emit([("target", f"{target:064x}"), ("mode", "early-exit" if early else "generic"),
+               ("result", "exhausted"), ("nonces_tried", 0)], args.format)
+        return EXIT_NEGATIVE
+
     work = kern.prepare_header_work(raw, target)
     started = time.perf_counter()
     res = kern.scan(work, lo, hi, improvements=improvements, threads=args.threads,

@@ -52,7 +52,12 @@ given, and which set suits which target is the caller's choice (``mine
 --mode``).
 
 The per-nonce arithmetic is vectorized over chunks of nonces as numpy
-uint32 lanes.
+uint32 lanes.  At these widths numpy's per-call dispatch outweighs the
+arithmetic (a chunk of the full set makes 6,226 ufunc calls; 64 lanes take
+2.5-6 ms on a 2-vCPU x86-64 VM), so every operand in the round and schedule
+loops is an array: numpy converts a Python int operand on every call, about
+0.5 us of a 1.2 us call.  Ch is g ^ (e & (f ^ g)) and Maj (a & b) | (c & (a | b)), 3 and 4
+calls where the textbook forms take 4 and 5.
 
 Cost instrumentation counts block-cipher rounds and reports them in units
 of whole 64-round compressions.  The rounds are counted from the rounds
@@ -68,6 +73,7 @@ from __future__ import annotations
 import copy
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -104,6 +110,17 @@ KW_COMP3 = tuple(
     (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if t in _FOLD_FLAGS_COMP3 else None
     for t in range(64)
 )
+
+
+def _u32(value: int) -> np.ndarray:
+    """``value`` as a read-only 0-d uint32 array, the operand form the lanes pass."""
+    arr = np.array(value, dtype=np.uint32)
+    arr.flags.writeable = False
+    return arr
+
+
+_SHIFTS = tuple(_u32(n) for n in range(33))  # _SHIFTS[n] shifts by n
+_K = tuple(_u32(k) for k in sha.K)
 
 
 @dataclass(frozen=True)
@@ -183,8 +200,8 @@ def prepare_header_work(header: bytes, target: int) -> PreparedWork:
 
 
 def _vrotr(x, n, out, tmp):
-    np.right_shift(x, n, out)
-    np.left_shift(x, 32 - n, tmp)
+    np.right_shift(x, _SHIFTS[n], out)
+    np.left_shift(x, _SHIFTS[32 - n], tmp)
     np.bitwise_or(out, tmp, out)
 
 
@@ -208,7 +225,7 @@ def _vlittle_sigma0(x, out, t1, t2):
     _vrotr(x, 7, out, t1)
     _vrotr(x, 18, t1, t2)
     np.bitwise_xor(out, t1, out)
-    np.right_shift(x, 3, t1)
+    np.right_shift(x, _SHIFTS[3], t1)
     np.bitwise_xor(out, t1, out)
 
 
@@ -216,7 +233,7 @@ def _vlittle_sigma1(x, out, t1, t2):
     _vrotr(x, 17, out, t1)
     _vrotr(x, 19, t1, t2)
     np.bitwise_xor(out, t1, out)
-    np.right_shift(x, 10, t1)
+    np.right_shift(x, _SHIFTS[10], t1)
     np.bitwise_xor(out, t1, out)
 
 
@@ -246,10 +263,9 @@ class _Lanes:
         a, b, c, d, e, f, g, h = self.regs
         t1, t2, ta, tb = self.t1, self.t2, self.ta, self.tb
         _vbig_sigma1(e, t1, ta, tb)
-        np.bitwise_and(e, f, ta)
-        np.bitwise_not(e, tb)
-        np.bitwise_and(tb, g, tb)
-        np.bitwise_xor(ta, tb, ta)
+        np.bitwise_xor(f, g, ta)  # Ch = g ^ (e & (f ^ g))
+        np.bitwise_and(ta, e, ta)
+        np.bitwise_xor(ta, g, ta)
         np.add(t1, ta, t1)
         np.add(t1, h, t1)
         if kw is not None:
@@ -258,11 +274,10 @@ class _Lanes:
             np.add(t1, w_vec, t1)
             np.add(t1, k, t1)
         _vbig_sigma0(a, t2, ta, tb)
-        np.bitwise_and(a, b, ta)
-        np.bitwise_and(a, c, tb)
-        np.bitwise_xor(ta, tb, ta)
-        np.bitwise_and(b, c, tb)
-        np.bitwise_xor(ta, tb, ta)
+        np.bitwise_or(a, b, ta)  # Maj = (a & b) | (c & (a | b))
+        np.bitwise_and(ta, c, ta)
+        np.bitwise_and(a, b, tb)
+        np.bitwise_or(ta, tb, ta)
         np.add(t2, ta, t2)
         np.add(d, t1, d)  # becomes the new E
         np.add(t1, t2, h)  # becomes the new A
@@ -295,7 +310,7 @@ class _Lanes:
                     fixed_words[t](ring[t & 15])
                 else:
                     self.sched(t)
-            self.round(kw_table[t], ring[t & 15], sha.K[t])
+            self.round(kw_table[t], ring[t & 15], _K[t])
         return last - first + 1
 
     def feedforward(self, base, out):
@@ -305,13 +320,14 @@ class _Lanes:
 
 
 def _folded(kw_table, fold_flags, s: ImprovementSet) -> list:
-    """``kw_table`` with the folds whose flag ``s`` lacks undone."""
-    return [kw if fold_flags.get(t) in s else None for t, kw in enumerate(kw_table)]
+    """``kw_table`` as lane operands, with the folds whose flag ``s`` lacks undone."""
+    return [_u32(kw) if fold_flags.get(t) in s else None for t, kw in enumerate(kw_table)]
 
 
-def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
+def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw2, kw3) -> int:
     """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects
-    and return the rounds each lane ran.
+    and return the rounds each lane ran.  ``kw2`` and ``kw3`` are the
+    folded K+W tables of the second and third compression under ``s``.
 
     Afterwards the registers hold the third compression's state after
     round 60 under flag 2 and after round 63 otherwise, before the
@@ -360,14 +376,14 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet) -> int:
         fixed_words[18] = w18
     if "8" in s:
         fixed_words[19] = lambda out: np.add(n, sched0[19], out)
-    rounds += lanes.compress(_folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s), first, 63, fixed_words)
+    rounds += lanes.compress(kw2, first, 63, fixed_words)
     lanes.feedforward(midstate, ring)
 
     # third compression: the first hash in ring slots 0..7, then padding
     for slot, w in enumerate(_COMP3_PAD, start=8):
         ring[slot][:] = w
     lanes.fill_regs(sha.IV)
-    rounds += lanes.compress(_folded(KW_COMP3, _FOLD_FLAGS_COMP3, s), 0, 60 if "2" in s else 63)
+    rounds += lanes.compress(kw3, 0, 60 if "2" in s else 63)
     return rounds
 
 
@@ -392,15 +408,17 @@ class _RangeTally:
     stage2: int = 0
 
 
-def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
+def _scan_range(work, lo, hi, s, chunk, should_abort, tally: _RangeTally) -> None:
+    """Scan ``lo..hi`` up to its first find, adding the counts to ``tally``."""
     width = min(chunk, hi - lo + 1)
     buffers = _Lanes(width, recompute_midstate="1" not in s)
     offsets = np.arange(width, dtype=np.uint32)
-    tally = _RangeTally()
     early = "2" in s
     e60 = 4 if early else 7  # the register holding round 60's E value
     top_limb = np.uint32(work.target >> 224)
     stage2_active = work.target < WORD6_TARGET_BOUND
+    kw2 = _folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s)
+    kw3 = _folded(KW_COMP3, _FOLD_FLAGS_COMP3, s)
     pos = lo
     while pos <= hi:
         if should_abort():
@@ -408,7 +426,7 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
         m = min(chunk, hi - pos + 1)
         lanes = buffers.view(m)
         np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
-        per_lane = _chunk(work, lanes, s)
+        per_lane = _chunk(work, lanes, s, kw2, kw3)
         # digest word 7 byteswapped is the hash's top limb; the referee decides ties
         word7 = np.add(lanes.regs[e60], np.uint32(sha.IV.h), lanes.t1)
         candidates = np.nonzero(word7.byteswap(inplace=True) <= top_limb)[0]
@@ -429,24 +447,18 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> _RangeTally:
                 tally.found = FoundNonce(pos + lane, digest)
                 tally.consumed += lane + 1
                 tally.rounds += per_lane * (lane + 1)
-                return tally
+                return
         tally.consumed += m
         tally.rounds += per_lane * m
         pos += m
-    return tally
 
 
-def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    n = hi - lo + 1
-    parts = max(1, min(parts, n))
-    base, rem = divmod(n, parts)
-    spans = []
-    start = lo
-    for i in range(parts):
-        size = base + (1 if i < rem else 0)
-        spans.append((start, start + size - 1))
-        start += size
-    return spans
+def _span(lo: int, hi: int, parts: int, idx: int) -> tuple[int, int]:
+    """Span ``idx`` of ``lo..hi`` cut into ``parts`` contiguous spans; the
+    first ``(hi - lo + 1) % parts`` are one nonce longer."""
+    base, rem = divmod(hi - lo + 1, parts)
+    start = lo + idx * base + min(idx, rem)
+    return start, start + base - (idx >= rem)
 
 
 def effective_chunk(threads: int, chunk: int | None = None) -> int:
@@ -474,11 +486,11 @@ def scan(
     flag 2 and ``"generic"`` otherwise.  ``chunk`` lanes run per numpy
     call; None picks :func:`effective_chunk`.
 
-    The range is split into ``threads`` contiguous subranges: the calling
-    thread scans the lowest and a pool of up to ``os.cpu_count()`` threads
-    the rest.  The merge takes the minimum found nonce, so partitioning
-    never changes the winner.  Counters cover the nonces each subrange
-    actually consumed.
+    The range is split into ``threads`` contiguous spans.  The calling
+    thread and a pool of up to ``os.cpu_count()`` threads claim them in
+    nonce order; a find stops the spans above it and the claims past it.
+    The merge takes the minimum found nonce, so partitioning never changes
+    the winner.  Counters cover the nonces each span actually consumed.
     """
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
         if not 0 <= v <= MASK32:
@@ -491,23 +503,31 @@ def scan(
     if chunk < 1:
         raise ValueError("chunk must be positive")
 
-    spans = _partition(nonce_lo, nonce_hi, threads)
-    found_flags = [False] * len(spans)
+    parts = min(threads, nonce_hi - nonce_lo + 1)
+    lock = threading.Lock()
+    next_idx = 0  # the next span to claim
+    lowest_found = parts  # the lowest span that found a nonce, parts while none has
 
-    def run(idx: int) -> _RangeTally:
-        def should_abort() -> bool:
-            # a find in a lower subrange always wins; stop wasting work
-            return any(found_flags[:idx])
+    def worker() -> _RangeTally:
+        nonlocal next_idx, lowest_found
+        tally = _RangeTally()  # a worker finds at most once: its last span
+        while True:
+            with lock:
+                idx = next_idx
+                if idx >= lowest_found:
+                    return tally
+                next_idx += 1
+            # a find in a lower span always wins; stop wasting work
+            _scan_range(work, *_span(nonce_lo, nonce_hi, parts, idx), improvements, chunk,
+                        lambda: lowest_found < idx, tally)
+            if tally.found is not None:
+                with lock:
+                    lowest_found = min(lowest_found, idx)
 
-        tally = _scan_range(work, *spans[idx], improvements, chunk, should_abort)
-        if tally.found is not None:
-            found_flags[idx] = True
-        return tally
-
-    # one span starts no pool thread; spans past os.cpu_count() queue in order
-    with ThreadPoolExecutor(max_workers=max(1, min(len(spans) - 1, os.cpu_count() or 1))) as pool:
-        rest = [pool.submit(run, idx) for idx in range(1, len(spans))]
-        tallies = [run(0)] + [f.result() for f in rest]
+    helpers = min(parts - 1, os.cpu_count() or 1)  # pool threads; one span starts none
+    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
+        rest = [pool.submit(worker) for _ in range(helpers)]
+        tallies = [worker()] + [f.result() for f in rest]
 
     found = min(
         (t.found for t in tallies if t.found is not None),

@@ -53,7 +53,13 @@ class TestMine:
             "--nonce-start", "10", "--nonce-end", "9",
         )
         assert code == 1
-        assert kv(capsys)["nonces_tried"] == "0"
+        report = kv(capsys)
+        assert report["nonces_tried"] == "0"
+        # the mode a scan of that target would run, as in every other report
+        assert report["mode"] == "generic"  # the fixture's target is 2^240
+        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+                       "--nonce-start", "10", "--nonce-end", "9") == 1
+        assert kv(capsys)["mode"] == "early-exit"
 
     def test_not_found_range_exits_1(self, capsys):
         code = run_cli(

@@ -1,6 +1,8 @@
 import hashlib
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -254,7 +256,7 @@ class TestScanDecisions:
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
-        assert kern._partition(lo, hi, 3)[2][0] < nonce
+        assert kern._span(lo, hi, 3, 2)[0] < nonce
         one = kern.scan(work, lo, hi, threads=1, chunk=1024)
         three = kern.scan(work, lo, hi, threads=3, chunk=1024)
         assert three.found == one.found
@@ -277,12 +279,66 @@ class TestScanDecisions:
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
-        assert kern._partition(lo, hi, 6)[5][0] < nonce
+        assert kern._span(lo, hi, 6, 5)[0] < nonce
         one = kern.scan(work, lo, hi, threads=1, chunk=512)
         six = kern.scan(work, lo, hi, threads=6, chunk=512)
         assert sizes == [1, 2]
         assert six.found == one.found and one.found.digest == _dsha(GENESIS)
         assert self._counters(six) == self._counters(one)
+
+    def test_spans_past_pool_size_add_no_workers(self, monkeypatch):
+        # 64 one-nonce spans on a two-CPU host: two pool workers and the
+        # calling thread claim them in order; the winner is in the last span
+        submits = []
+
+        class Pool(kern.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submits.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kern, "ThreadPoolExecutor", Pool)
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        one = kern.scan(work, nonce - 63, nonce, threads=1)
+        many = kern.scan(work, nonce - 63, nonce, threads=64)
+        assert len(submits) <= 2
+        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
+        assert one.nonces_tried == 64
+        assert self._counters(many) == self._counters(one)
+
+    def test_span_claims_under_contention(self, monkeypatch):
+        # eight pool workers and the calling thread, switching every 10 us:
+        # a span claimed twice or never changes the exhaustive counters, and
+        # a lost lowest-found update can hand the win to a higher span
+        monkeypatch.setattr(kern.os, "cpu_count", lambda: 8)
+        base = random.Random(SEED + 37).randbytes(80)
+        none = kern.prepare_header_work(base, target=1)
+        some = kern.prepare_header_work(base, target=1 << 249)
+        want_none = kern.scan(none, 0, 2047, threads=1, chunk=32)
+        want_some = kern.scan(some, 0, 2047, threads=1, chunk=32)
+        assert want_some.found is not None and want_some.nonces_tried < 1024
+        results = []
+
+        def scans():
+            for _ in range(3):
+                results.append((kern.scan(none, 0, 2047, threads=32, chunk=32),
+                                kern.scan(some, 0, 2047, threads=32, chunk=32)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=scans, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(results) == 3
+        for got_none, got_some in results:
+            assert self._counters(got_none) == self._counters(want_none)
+            assert got_some.found == want_some.found
+            assert want_some.nonces_tried <= got_some.nonces_tried <= 2048
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):

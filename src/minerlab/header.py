@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import sha256 as sha
 
 HEADER_LEN = 80
 MAX_TARGET = (1 << 256) - 1
@@ -162,25 +160,6 @@ def digest_hex(digest: bytes) -> str:
     return digest[::-1].hex()
 
 
-def merkle_root(txids: Sequence[bytes]) -> bytes:
-    """Fold a list of 32-byte transaction ids up to the tree root.
-
-    Each level pairs adjacent nodes and double-hashes the concatenation,
-    duplicating the last node when the level has odd length.
-    """
-    if not txids:
-        raise ValueError("merkle root of empty transaction list")
-    level = list(txids)
-    for txid in level:
-        if len(txid) != 32:
-            raise ValueError("txids must be 32 bytes")
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        level = [sha.sha256d(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
-
-
 def parse_work_template(text: str) -> tuple[BlockHeader, int | None]:
     """Parse a work template document.
 
@@ -228,16 +207,3 @@ def parse_work_template(text: str) -> tuple[BlockHeader, int | None]:
         if not 0 < target <= MAX_TARGET:
             raise ValueError("template target out of range")
     return header, target
-
-
-def format_work_template(h: BlockHeader, target: int | None = None) -> str:
-    lines = [
-        f"version: {h.version}",
-        f"prev_block: {h.prev_block.hex()}",
-        f"merkle_root: {h.merkle_root.hex()}",
-        f"timestamp: {h.timestamp}",
-        f"nbits: {h.nbits:08x}",
-    ]
-    if target is not None:
-        lines.append(f"target: {target:064x}")
-    return "\n".join(lines) + "\n"

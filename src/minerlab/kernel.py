@@ -40,10 +40,12 @@ Every pipeline filters on that one word.  Byteswapped, digest word 7 is
 the hash's most significant 32-bit limb, so a lane can qualify only when
 it is at most ``target >> 224``.  Below 2^224 that limb is zero and only
 lanes whose round-60 E value is 0xA41F32E7 = 2^32 - 0x5BE0CD19 pass, about
-one in 2^32.  The lanes that pass are re-derived through the scalar
-reference path (:func:`complete_nonce`), which decides exactly, so the
-lanes never act as their own referee; the filter passes at most 2^-32
-extra lanes per nonce, those whose word 7 ties the target's top limb.
+one in 2^32.  The referee (:func:`complete_nonce`) hashes each passing
+lane's header bytes with the reference :func:`~minerlab.sha256.sha256d`
+and decides exactly.  Nothing the lanes or the preparation computed enters
+it, so the reported digest is the reference hash of the reported bytes;
+the filter passes at most 2^-32 extra lanes per nonce, those whose word 7
+ties the target's top limb.
 Under flag 2 a target below 2^192 also needs word 6 zero, which pins the
 E value of round 61 to 0xE07C2655; the referee reads word 6 off the digest
 it completes and counts the lanes that pass as stage-2 survivors.  Early
@@ -132,7 +134,7 @@ class PreparedWork:
     """
 
     midstate: sha.State
-    block1: tuple  # header words 0..15, for lanes that recompute the midstate
+    header: bytes  # the 76 header bytes before the nonce
     sched0: tuple  # second-compression schedule W0..W63 at nonce 0
     state_r3: sha.State  # state entering round 3
     state_r4: sha.State  # state after round 3 at nonce 0; nonce n adds n to A and E
@@ -175,15 +177,14 @@ def prepare_header_work(header: bytes, target: int) -> PreparedWork:
         raise ValueError("zero target")
     if target >= 1 << 256:
         raise ValueError("target overflows 256 bits")
-    block1 = struct.unpack(">16I", header[:64])
-    midstate = sha.compress(sha.IV, block1)
+    midstate = sha.compress(sha.IV, struct.unpack(">16I", header[:64]))
     sched0 = tuple(sha.expand_schedule(struct.unpack(">3I", header[64:76]) + (0,) + _COMP2_PAD))
     state_r3 = midstate
     for t in range(3):
         state_r3 = sha.compression_round(state_r3, sched0[t], sha.K[t])
     return PreparedWork(
         midstate=midstate,
-        block1=block1,
+        header=header[:76],
         sched0=sched0,
         state_r3=state_r3,
         state_r4=sha.compression_round(state_r3, 0, sha.K[3]),
@@ -337,7 +338,7 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw2, kw3) -> in
     midstate = work.midstate
     rounds = 0
     if "1" not in s:  # first compression, recomputed per lane
-        for slot, w in enumerate(work.block1):
+        for slot, w in enumerate(struct.unpack(">16I", work.header[:64])):
             ring[slot][:] = w
         lanes.fill_regs(sha.IV)
         rounds += lanes.compress(_UNFOLDED)
@@ -392,11 +393,8 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw2, kw3) -> in
 
 
 def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
-    """Full double hash of the work item at one nonce via the reference
-    rounds, starting from the shared midstate."""
-    h1 = sha.compress(work.midstate, work.sched0[:3] + (nonce,) + _COMP2_PAD)
-    block3 = tuple(h1) + _COMP3_PAD
-    return sha.state_bytes(sha.compress(sha.IV, block3))
+    """The reference double hash of the header bytes at one nonce."""
+    return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
 @dataclass

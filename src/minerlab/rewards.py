@@ -131,7 +131,7 @@ def _smooth_period_satoshis() -> Iterator[int]:
         r_lo = (lo + _HALF) >> _SCALE_BITS
         r_hi = (lo + slack + _HALF) >> _SCALE_BITS
         if r_lo != r_hi:
-            r_lo = _round_half_up(SMOOTH_BASE_SATOSHIS * DECAY**j)
+            r_lo = _round_half_up(smooth_reward_exact((SMOOTH_START_PERIOD + j) * SMOOTH_PERIOD))
         if r_lo == 0:
             return
         yield r_lo

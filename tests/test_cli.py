@@ -1,5 +1,7 @@
 
 import csv
+import dataclasses
+import hashlib
 import io
 import re
 import subprocess
@@ -46,6 +48,38 @@ class TestMine:
         assert report["verified"] == "reference-ok"
         assert run_cli("verify", "--header", report["header"],
                        "--target", report["target"]) == 0
+
+    def test_digest_is_hash_of_printed_header(self, monkeypatch, capsys):
+        # a corrupted midstate misleads only the lanes: the reported digest
+        # is still the double hash of the reported header bytes
+        prepare = cli.kern.prepare_header_work
+        monkeypatch.setattr(cli.kern, "prepare_header_work", lambda raw, target:
+                            dataclasses.replace(prepare(raw, target), midstate=sha.IV))
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
+                       "--target", "8" + "0" * 63) == 0
+        report = kv(capsys)
+        header = bytes.fromhex(report["header"])
+        dsha = hashlib.sha256(hashlib.sha256(header).digest()).digest()
+        assert report["digest"] == dsha[::-1].hex()
+        assert report["verified"] == "reference-ok"
+
+    def test_one_referee_pass_per_find(self, monkeypatch, capsys):
+        # one compression prepares the work; the referee's double hash of
+        # the 80 header bytes takes three, and nothing hashes the find again
+        calls = {"compress": 0, "sha256d": 0}
+        for name in calls:
+            real = getattr(sha, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(sha, name, counted)
+        # the fixture's find is nonce 0x11883; the bound makes a broken referee fail fast
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
+                       "--nonce-end", "0x20000") == 0
+        assert kv(capsys)["result"] == "found"
+        assert calls == {"compress": 4, "sha256d": 1}
 
     def test_empty_range_exits_1(self, capsys):
         code = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import struct
@@ -378,6 +379,19 @@ class TestScanDecisions:
             assert res.nonces_tried == 1
             if found:
                 assert res.found == kern.FoundNonce(77, digest)
+
+    def test_referee_hashes_header_bytes(self):
+        # the referee reads only the header bytes: a corrupted midstate
+        # misleads the lanes' filter but never the reported digest
+        base = random.Random(SEED + 24).randbytes(80)
+        work = dataclasses.replace(kern.prepare_header_work(base, 1 << 255), midstate=sha.IV)
+        finds = 0
+        for lo in range(0, 64 * 16, 16):
+            res = kern.scan(work, lo, lo + 15)
+            if res.found is not None:
+                finds += 1
+                assert res.found.digest == _dsha(_header_at(base, res.found.nonce))
+        assert finds >= 48
 
     def test_empty_range_rejected(self):
         base = random.Random(SEED + 20).randbytes(80)

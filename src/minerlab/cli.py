@@ -77,8 +77,10 @@ class _PickedChunk(int):
     scan pick the chunk from the thread count."""
 
 
-def _chunk_arg(args) -> int | None:
-    return None if isinstance(args.chunk, _PickedChunk) else args.chunk
+def _scan_chunk(args) -> int:
+    """The chunk a scan runs: ``--chunk`` if given, else the thread count's."""
+    return kern.effective_chunk(args.threads, None if isinstance(args.chunk, _PickedChunk)
+                                else args.chunk)
 
 
 def _seed(text: str) -> int:
@@ -145,21 +147,20 @@ def cmd_mine(args) -> int:
     full = costs.ImprovementSet.full()
     early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
     improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
+    pairs = [("target", f"{target:064x}"), ("mode", "early-exit" if early else "generic")]
     if lo > hi:
-        _emit([("target", f"{target:064x}"), ("mode", "early-exit" if early else "generic"),
-               ("result", "exhausted"), ("nonces_tried", 0)], args.format)
+        _emit(pairs + [("result", "exhausted"), ("nonces_tried", 0)], args.format)
         return EXIT_NEGATIVE
 
     work = kern.prepare_header_work(raw, target)
+    chunk = _scan_chunk(args)
     started = time.perf_counter()
-    res = kern.scan(work, lo, hi, improvements=improvements, threads=args.threads,
-                    chunk=_chunk_arg(args))
+    res = kern.scan(work, lo, hi, improvements=improvements, threads=args.threads, chunk=chunk)
     elapsed = time.perf_counter() - started
 
-    pairs = [("target", f"{target:064x}"), ("mode", res.mode)]
     pairs += [
-        ("threads", res.threads),
-        ("chunk", res.chunk),
+        ("threads", args.threads),
+        ("chunk", chunk),
         ("nonces_tried", res.nonces_tried),
         ("rounds_executed", res.rounds_executed),
         ("compressions_per_nonce", f"{res.compressions_equivalent:.6f}"),
@@ -216,7 +217,7 @@ def cmd_bench(args) -> int:
 
     work = kern.prepare_header_work(raw, target)
     pipelines = (improvements, costs.ImprovementSet.none())
-    chunk = kern.effective_chunk(args.threads, _chunk_arg(args))
+    chunk = _scan_chunk(args)
 
     def run(s, end):
         t0 = time.perf_counter()
@@ -236,8 +237,8 @@ def cmd_bench(args) -> int:
         [
             ("seed", f"0x{args.seed:016x}"),
             ("count", args.count),
-            ("threads", fast.threads),
-            ("chunk", fast.chunk),
+            ("threads", args.threads),
+            ("chunk", chunk),
             ("improvements", str(improvements)),
             ("predicted_compressions_per_nonce", f"{predicted} = {float(predicted):.6f}"),
             ("optimized_compressions_per_nonce", f"{fast.compressions_equivalent:.6f}"),

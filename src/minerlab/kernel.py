@@ -61,12 +61,15 @@ loops is an array: numpy converts a Python int operand on every call, about
 0.5 us of a 1.2 us call.  Ch is g ^ (e & (f ^ g)) and Maj (a & b) | (c & (a | b)), 3 and 4
 calls where the textbook forms take 4 and 5.
 
-Cost instrumentation counts block-cipher rounds and reports them in units
-of whole 64-round compressions.  The rounds are counted from the rounds
-the lanes run: each compression returns how many it ran, and the chunk
-adds the incremental round 3 under flag 4.  The subset tests check the
-count against the rounds per nonce of the cost model in
-:mod:`minerlab.costs`, which leaves that round out.
+Cost instrumentation counts block-cipher rounds; one :class:`ScanResult`
+per scanning thread holds them, and :func:`scan` returns the sum, whose
+``compressions_equivalent`` is the count in units of whole 64-round
+compressions per nonce.  The rounds are counted from the rounds the lanes
+run: each compression returns how many it ran, and the chunk adds the
+incremental round 3 under flag 4.  Under flag 2 every filter survivor is
+a stage-1 survivor and adds rounds 61..63, or only round 61 when its word
+6 rejects it.  The subset tests check the count against the rounds per
+nonce of the cost model in :mod:`minerlab.costs`, which leaves round 3 out.
 Schedule work and feedforward additions are not counted separately.
 """
 
@@ -98,20 +101,13 @@ WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 # Second-compression constant message words: 0x80000000 marker, ten zeros,
 # and the 640-bit length of the 80-byte header.
 _COMP2_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 640)
-# Third-compression constants behind the 8 hash words: marker, six zeros,
-# and the 256-bit length.
-_COMP3_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 256)
+# Third-compression constant words by slot, behind the 8 hash words: marker,
+# six zeros, and the 256-bit length.
+_COMP3_PAD = dict(enumerate((0x80000000, 0, 0, 0, 0, 0, 0, 256), start=8))
 
 # The flag under which each constant-word round adds its folded K+W.
 _FOLD_FLAGS_COMP2 = {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"}
 _FOLD_FLAGS_COMP3 = {**dict.fromkeys(range(8, 15), "5"), 15: "6"}
-_UNFOLDED = (None,) * 64
-
-# Third-compression folded K+W, None where W varies: the same for every work item.
-KW_COMP3 = tuple(
-    (sha.K[t] + _COMP3_PAD[t - 8]) & MASK32 if t in _FOLD_FLAGS_COMP3 else None
-    for t in range(64)
-)
 
 
 def _u32(value: int) -> np.ndarray:
@@ -138,7 +134,6 @@ class PreparedWork:
     sched0: tuple  # second-compression schedule W0..W63 at nonce 0
     state_r3: sha.State  # state entering round 3
     state_r4: sha.State  # state after round 3 at nonce 0; nonce n adds n to A and E
-    kw_comp2: tuple  # per-round folded K+W, None where W varies
     target: int
 
 
@@ -148,17 +143,21 @@ class FoundNonce:
     digest: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScanResult:
-    found: FoundNonce | None
-    nonces_tried: int
-    rounds_executed: int
-    compressions_equivalent: float  # rounds_executed / 64 per nonce tried
-    stage1_survivors: int
-    stage2_survivors: int
-    mode: str
-    chunk: int  # lanes per numpy call
-    threads: int
+    """A scan's find and counters.  Each worker of :func:`scan` fills one,
+    and the scan returns their sum."""
+
+    found: FoundNonce | None = None
+    nonces_tried: int = 0
+    rounds_executed: int = 0
+    stage1_survivors: int = 0
+    stage2_survivors: int = 0
+
+    @property
+    def compressions_equivalent(self) -> float:
+        """Rounds executed per nonce tried, in 64-round compressions."""
+        return self.rounds_executed / 64 / self.nonces_tried if self.nonces_tried else 0.0
 
 
 def prepare_header_work(header: bytes, target: int) -> PreparedWork:
@@ -188,10 +187,6 @@ def prepare_header_work(header: bytes, target: int) -> PreparedWork:
         sched0=sched0,
         state_r3=state_r3,
         state_r4=sha.compression_round(state_r3, 0, sha.K[3]),
-        kw_comp2=tuple(
-            (sha.K[t] + sched0[t]) & MASK32 if t in _FOLD_FLAGS_COMP2 else None
-            for t in range(64)
-        ),
         target=target,
     )
 
@@ -320,28 +315,32 @@ class _Lanes:
             np.add(reg, add, dst)
 
 
-def _folded(kw_table, fold_flags, s: ImprovementSet) -> list:
-    """``kw_table`` as lane operands, with the folds whose flag ``s`` lacks undone."""
-    return [_u32(kw) if fold_flags.get(t) in s else None for t, kw in enumerate(kw_table)]
+def _kw_table(words, fold_flags, s: ImprovementSet) -> list:
+    """Per round, the folded K_t + W_t as a lane operand where ``s`` holds
+    the round's flag in ``fold_flags``, else None: the round adds W and K
+    separately.  ``words[t]`` is round t's constant message word."""
+    return [_u32((sha.K[t] + words[t]) & MASK32) if fold_flags.get(t) in s else None
+            for t in range(64)]
 
 
-def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw2, kw3) -> int:
+def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw) -> int:
     """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects
-    and return the rounds each lane ran.  ``kw2`` and ``kw3`` are the
-    folded K+W tables of the second and third compression under ``s``.
+    and return the rounds each lane ran.  ``kw`` holds the :func:`_kw_table`
+    of each of the three compressions under ``s``.
 
     Afterwards the registers hold the third compression's state after
     round 60 under flag 2 and after round 63 otherwise, before the
     feedforward.
     """
     n, ring, sched0 = lanes.nonces, lanes.ring, work.sched0
+    kw1, kw2, kw3 = kw
     midstate = work.midstate
     rounds = 0
     if "1" not in s:  # first compression, recomputed per lane
         for slot, w in enumerate(struct.unpack(">16I", work.header[:64])):
             ring[slot][:] = w
         lanes.fill_regs(sha.IV)
-        rounds += lanes.compress(_UNFOLDED)
+        rounds += lanes.compress(kw1)
         lanes.feedforward(sha.IV, lanes.mids)
         midstate = lanes.mids
 
@@ -381,7 +380,7 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw2, kw3) -> in
     lanes.feedforward(midstate, ring)
 
     # third compression: the first hash in ring slots 0..7, then padding
-    for slot, w in enumerate(_COMP3_PAD, start=8):
+    for slot, w in _COMP3_PAD.items():
         ring[slot][:] = w
     lanes.fill_regs(sha.IV)
     rounds += lanes.compress(kw3, 0, 60 if "2" in s else 63)
@@ -397,17 +396,8 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
-@dataclass
-class _RangeTally:
-    found: FoundNonce | None = None
-    consumed: int = 0
-    rounds: int = 0
-    stage1: int = 0
-    stage2: int = 0
-
-
-def _scan_range(work, lo, hi, s, chunk, should_abort, tally: _RangeTally) -> None:
-    """Scan ``lo..hi`` up to its first find, adding the counts to ``tally``."""
+def _scan_range(work, lo, hi, s, chunk, should_abort, res: ScanResult) -> None:
+    """Scan ``lo..hi`` up to its first find, adding the find and counts to ``res``."""
     width = min(chunk, hi - lo + 1)
     buffers = _Lanes(width, recompute_midstate="1" not in s)
     offsets = np.arange(width, dtype=np.uint32)
@@ -415,8 +405,9 @@ def _scan_range(work, lo, hi, s, chunk, should_abort, tally: _RangeTally) -> Non
     e60 = 4 if early else 7  # the register holding round 60's E value
     top_limb = np.uint32(work.target >> 224)
     stage2_active = work.target < WORD6_TARGET_BOUND
-    kw2 = _folded(work.kw_comp2, _FOLD_FLAGS_COMP2, s)
-    kw3 = _folded(KW_COMP3, _FOLD_FLAGS_COMP3, s)
+    kw = (_kw_table((), {}, s),  # the first compression folds nothing
+          _kw_table(work.sched0, _FOLD_FLAGS_COMP2, s),
+          _kw_table(_COMP3_PAD, _FOLD_FLAGS_COMP3, s))
     pos = lo
     while pos <= hi:
         if should_abort():
@@ -424,30 +415,26 @@ def _scan_range(work, lo, hi, s, chunk, should_abort, tally: _RangeTally) -> Non
         m = min(chunk, hi - pos + 1)
         lanes = buffers.view(m)
         np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
-        per_lane = _chunk(work, lanes, s, kw2, kw3)
+        per_lane = _chunk(work, lanes, s, kw)
         # digest word 7 byteswapped is the hash's top limb; the referee decides ties
         word7 = np.add(lanes.regs[e60], np.uint32(sha.IV.h), lanes.t1)
         candidates = np.nonzero(word7.byteswap(inplace=True) <= top_limb)[0]
         for lane in candidates.tolist():
             digest = complete_nonce(work, pos + lane)  # scalar referee
             if early:
-                if stage2_active:
-                    tally.rounds += 1  # round 61 reveals the second constant
-                    if int.from_bytes(digest[24:28], "big") != 0:
-                        tally.stage1 += 1
-                        continue
-                    tally.stage2 += 1
-                    tally.rounds += 2  # rounds 62..63 finish the compression
-                else:
-                    tally.rounds += 3
-                tally.stage1 += 1
+                res.stage1_survivors += 1
+                if stage2_active and digest[24:28] != bytes(4):
+                    res.rounds_executed += 1  # round 61 rejects it: word 6 is nonzero
+                    continue
+                res.stage2_survivors += stage2_active
+                res.rounds_executed += 3  # rounds 61..63 finish the compression
             if meets_target(digest, work.target):
-                tally.found = FoundNonce(pos + lane, digest)
-                tally.consumed += lane + 1
-                tally.rounds += per_lane * (lane + 1)
+                res.found = FoundNonce(pos + lane, digest)
+                res.nonces_tried += lane + 1
+                res.rounds_executed += per_lane * (lane + 1)
                 return
-        tally.consumed += m
-        tally.rounds += per_lane * m
+        res.nonces_tried += m
+        res.rounds_executed += per_lane * m
         pos += m
 
 
@@ -480,9 +467,9 @@ def scan(
     nonce if one exists.
 
     The lanes run exactly the pipeline ``improvements`` selects, at any
-    target; the result's ``mode`` is ``"early-exit"`` when the set holds
-    flag 2 and ``"generic"`` otherwise.  ``chunk`` lanes run per numpy
-    call; None picks :func:`effective_chunk`.
+    target; the caller names the mode (``mine`` prints ``early-exit`` when
+    the set holds flag 2 and ``generic`` otherwise).  ``chunk`` lanes run
+    per numpy call; None picks :func:`effective_chunk`.
 
     The range is split into ``threads`` contiguous spans.  The calling
     thread and a pool of up to ``os.cpu_count()`` threads claim them in
@@ -506,44 +493,34 @@ def scan(
     next_idx = 0  # the next span to claim
     lowest_found = parts  # the lowest span that found a nonce, parts while none has
 
-    def worker() -> _RangeTally:
+    def worker() -> ScanResult:
         nonlocal next_idx, lowest_found
-        tally = _RangeTally()  # a worker finds at most once: its last span
+        res = ScanResult()  # a worker finds at most once: its last span
         while True:
             with lock:
                 idx = next_idx
                 if idx >= lowest_found:
-                    return tally
+                    return res
                 next_idx += 1
             # a find in a lower span always wins; stop wasting work
             _scan_range(work, *_span(nonce_lo, nonce_hi, parts, idx), improvements, chunk,
-                        lambda: lowest_found < idx, tally)
-            if tally.found is not None:
+                        lambda: lowest_found < idx, res)
+            if res.found is not None:
                 with lock:
                     lowest_found = min(lowest_found, idx)
 
     helpers = min(parts - 1, os.cpu_count() or 1)  # pool threads; one span starts none
     with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
         rest = [pool.submit(worker) for _ in range(helpers)]
-        tallies = [worker()] + [f.result() for f in rest]
+        results = [worker()] + [f.result() for f in rest]
 
-    found = min(
-        (t.found for t in tallies if t.found is not None),
-        key=lambda f: f.nonce,
-        default=None,
-    )
-    consumed = sum(t.consumed for t in tallies)
-    rounds = sum(t.rounds for t in tallies)
     return ScanResult(
-        found=found,
-        nonces_tried=consumed,
-        rounds_executed=rounds,
-        compressions_equivalent=rounds / 64 / consumed if consumed else 0.0,
-        stage1_survivors=sum(t.stage1 for t in tallies),
-        stage2_survivors=sum(t.stage2 for t in tallies),
-        mode="early-exit" if "2" in improvements else "generic",
-        chunk=chunk,
-        threads=threads,
+        found=min((r.found for r in results if r.found is not None),
+                  key=lambda f: f.nonce, default=None),
+        nonces_tried=sum(r.nonces_tried for r in results),
+        rounds_executed=sum(r.rounds_executed for r in results),
+        stage1_survivors=sum(r.stage1_survivors for r in results),
+        stage2_survivors=sum(r.stage2_survivors for r in results),
     )
 
 

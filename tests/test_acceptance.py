@@ -61,7 +61,6 @@ def test_criterion_01_oracle_equivalence():
         for w_idx, (target, n0) in enumerate(windows):
             work = dataclasses.replace(work0, target=target)
             res = kern.scan(work, n0, n0 + 99)
-            assert res.mode == "early-exit"
             ref_hit = None
             for k in range(100):
                 if hdr.meets_target(reference[w_idx * 100 + k], target):

@@ -36,13 +36,17 @@ def solved():
     import minerlab.kernel as kern
 
     raw = hdr.serialize_header(parsed)
-    res = kern.scan(kern.prepare_header_work(raw, target), 0, 0xFFFFFFFF)
+    res = kern.scan(kern.prepare_header_work(raw, target), 0, 0x1FFFF)
     assert res.found is not None
     return raw[:76] + res.found.nonce.to_bytes(4, "big"), target, res.found
 
+# The fixture's find is nonce 0x11883: a bound past it makes a broken
+# referee fail fast instead of scanning toward 2^32.
+FIXTURE_END = ("--nonce-end", "0x20000")
+
 class TestMine:
     def test_fixture_template_found_and_verified(self, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
         report = kv(capsys)
         assert report["result"] == "found"
         assert report["verified"] == "reference-ok"
@@ -75,9 +79,7 @@ class TestMine:
                 return _real(*args)
 
             monkeypatch.setattr(sha, name, counted)
-        # the fixture's find is nonce 0x11883; the bound makes a broken referee fail fast
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
-                       "--nonce-end", "0x20000") == 0
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
         assert kv(capsys)["result"] == "found"
         assert calls == {"compress": 4, "sha256d": 1}
 
@@ -119,15 +121,15 @@ class TestMine:
         zeroed = raw[:76] + b"\x00\x00\x00\x00"
         code = run_cli(
             "mine", "--header", zeroed.hex(), "--target", f"{target:064x}",
-            "--threads", "1",
+            "--threads", "1", *FIXTURE_END,
         )
         assert code == 0
         assert kv(capsys)["header"] == raw.hex()
 
     def test_threads_match_single(self, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "4") == 0
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "4", *FIXTURE_END) == 0
         multi = kv(capsys)["nonce"]
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
         assert kv(capsys)["nonce"] == multi
 
 class TestModeMapping:
@@ -137,12 +139,12 @@ class TestModeMapping:
     def test_desk_target(self, solved, capsys):
         # the fixture's target is 2^240
         _raw, _target, found = solved
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1") == 0
+        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
         auto = kv(capsys)
         assert auto["mode"] == "generic" and auto["nonce"] == f"0x{found.nonce:08x}"
         assert int(auto["rounds_executed"]) == 125 * int(auto["nonces_tried"])
         assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
-                       "--mode", "early-exit") == 0
+                       "--mode", "early-exit", *FIXTURE_END) == 0
         early = kv(capsys)
         assert early["mode"] == "early-exit" and early["nonce"] == auto["nonce"]
         assert early["nonces_tried"] == auto["nonces_tried"]
@@ -156,6 +158,18 @@ class TestModeMapping:
         assert run_cli("mine", "--template", str(FIXTURE), "--target", "1", "--threads", "1",
                        "--nonce-end", "4095", *extra) == 1
         assert kv(capsys)["mode"] == mode
+
+    @pytest.mark.parametrize("target, auto", [(1 << 224, "generic"),
+                                              ((1 << 224) - 1, "early-exit")])
+    @pytest.mark.parametrize("mode", ["auto", "early-exit", "generic"])
+    def test_word7_bound_same_for_any_range(self, mode, target, auto, capsys):
+        # an empty range prints the mode a 256-nonce scan runs
+        want = auto if mode == "auto" else mode
+        for end in ("9", "265"):
+            assert run_cli("mine", "--template", str(FIXTURE), "--target", f"{target:x}",
+                           "--mode", mode, "--threads", "1",
+                           "--nonce-start", "10", "--nonce-end", end) in (0, 1)
+            assert kv(capsys)["mode"] == want
 
 
 class TestScanShape:

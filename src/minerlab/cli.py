@@ -396,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_chunk(p):
         p.add_argument("--chunk", type=_positive_int, default=_PickedChunk(kern.DEFAULT_CHUNK),
-                       help=f"lanes per numpy call (default: {kern.DEFAULT_CHUNK} on one thread, "
-                            f"{kern.THREADED_CHUNK} on more)")
+                       help=f"lanes per numpy call, at most {kern.MAX_CHUNK} (default: "
+                            f"{kern.DEFAULT_CHUNK} on one thread, {kern.THREADED_CHUNK} on more)")
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     g = p.add_mutually_exclusive_group(required=True)

@@ -95,6 +95,9 @@ MASK32 = 0xFFFFFFFF
 # on the GIL, so they keep 2^16.
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
+# The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
+# measures: 4 MiB for each of a thread's 31 lane buffers (39 without flag 1).
+MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
@@ -396,8 +399,10 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
-def _scan_range(work, lo, hi, s, chunk, should_abort, res: ScanResult) -> None:
-    """Scan ``lo..hi`` up to its first find, adding the find and counts to ``res``."""
+def _scan_range(work, lo, hi, s, chunk, should_abort) -> ScanResult:
+    """Scan ``lo..hi`` up to its first find: the find and the counts of the
+    nonces consumed."""
+    res = ScanResult()
     width = min(chunk, hi - lo + 1)
     buffers = _Lanes(width, recompute_midstate="1" not in s)
     offsets = np.arange(width, dtype=np.uint32)
@@ -409,9 +414,7 @@ def _scan_range(work, lo, hi, s, chunk, should_abort, res: ScanResult) -> None:
           _kw_table(work.sched0, _FOLD_FLAGS_COMP2, s),
           _kw_table(_COMP3_PAD, _FOLD_FLAGS_COMP3, s))
     pos = lo
-    while pos <= hi:
-        if should_abort():
-            break
+    while pos <= hi and res.found is None and not should_abort():
         m = min(chunk, hi - pos + 1)
         lanes = buffers.view(m)
         np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
@@ -430,12 +433,12 @@ def _scan_range(work, lo, hi, s, chunk, should_abort, res: ScanResult) -> None:
                 res.rounds_executed += 3  # rounds 61..63 finish the compression
             if meets_target(digest, work.target):
                 res.found = FoundNonce(pos + lane, digest)
-                res.nonces_tried += lane + 1
-                res.rounds_executed += per_lane * (lane + 1)
-                return
+                m = lane + 1  # the lanes past the find are not consumed
+                break
         res.nonces_tried += m
         res.rounds_executed += per_lane * m
         pos += m
+    return res
 
 
 def _span(lo: int, hi: int, parts: int, idx: int) -> tuple[int, int]:
@@ -469,13 +472,14 @@ def scan(
     The lanes run exactly the pipeline ``improvements`` selects, at any
     target; the caller names the mode (``mine`` prints ``early-exit`` when
     the set holds flag 2 and ``generic`` otherwise).  ``chunk`` lanes run
-    per numpy call; None picks :func:`effective_chunk`.
+    per numpy call, at most :data:`MAX_CHUNK`; None picks
+    :func:`effective_chunk`.
 
-    The range is split into ``threads`` contiguous spans.  The calling
-    thread and a pool of up to ``os.cpu_count()`` threads claim them in
-    nonce order; a find stops the spans above it and the claims past it.
-    The merge takes the minimum found nonce, so partitioning never changes
-    the winner.  Counters cover the nonces each span actually consumed.
+    The range is split into ``threads`` contiguous spans, but never more
+    than ``1 + os.cpu_count()``: the calling thread scans the lowest span and
+    a pool thread each of the others.  A find stops the spans above it.  The
+    merge takes the minimum found nonce, so partitioning never changes the
+    winner.  Counters cover the nonces each span actually consumed.
     """
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
         if not 0 <= v <= MASK32:
@@ -485,34 +489,26 @@ def scan(
     if threads < 1:
         raise ValueError("threads must be positive")
     chunk = effective_chunk(threads, chunk)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
+    if not 1 <= chunk <= MAX_CHUNK:
+        raise ValueError(f"chunk must lie in [1, {MAX_CHUNK}], got {chunk}")
 
-    parts = min(threads, nonce_hi - nonce_lo + 1)
+    parts = min(threads, nonce_hi - nonce_lo + 1, 1 + (os.cpu_count() or 1))
     lock = threading.Lock()
-    next_idx = 0  # the next span to claim
     lowest_found = parts  # the lowest span that found a nonce, parts while none has
 
-    def worker() -> ScanResult:
-        nonlocal next_idx, lowest_found
-        res = ScanResult()  # a worker finds at most once: its last span
-        while True:
+    def worker(idx: int) -> ScanResult:
+        nonlocal lowest_found
+        # a find in a lower span always wins; stop wasting work
+        res = _scan_range(work, *_span(nonce_lo, nonce_hi, parts, idx), improvements, chunk,
+                          lambda: lowest_found < idx)
+        if res.found is not None:
             with lock:
-                idx = next_idx
-                if idx >= lowest_found:
-                    return res
-                next_idx += 1
-            # a find in a lower span always wins; stop wasting work
-            _scan_range(work, *_span(nonce_lo, nonce_hi, parts, idx), improvements, chunk,
-                        lambda: lowest_found < idx, res)
-            if res.found is not None:
-                with lock:
-                    lowest_found = min(lowest_found, idx)
+                lowest_found = min(lowest_found, idx)
+        return res
 
-    helpers = min(parts - 1, os.cpu_count() or 1)  # pool threads; one span starts none
-    with ThreadPoolExecutor(max_workers=max(1, helpers)) as pool:
-        rest = [pool.submit(worker) for _ in range(helpers)]
-        results = [worker()] + [f.result() for f in rest]
+    with ThreadPoolExecutor(max_workers=max(1, parts - 1)) as pool:
+        rest = pool.map(worker, range(1, parts))
+        results = [worker(0), *rest]
 
     return ScanResult(
         found=min((r.found for r in results if r.found is not None),

@@ -1,4 +1,5 @@
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minerlab.cli as cli
 import minerlab.header as hdr
@@ -416,9 +419,12 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("option,value", [
         ("--threads", "0"), ("--threads", "-1"), ("--chunk", "0"),
+        ("--chunk", "1048577"),  # above kernel.MAX_CHUNK
     ])
     def test_below_one_rejected(self, option, value, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), option, value) == 2
+        # 16 nonces allocate at most 16 lanes, whatever the chunk
+        assert run_cli("mine", "--template", str(FIXTURE), "--nonce-end", "15",
+                       option, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -469,3 +475,67 @@ class TestInputChecks:
         assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
                        "--nonce-end", "15", "--threads", "1", "--format", "kv") == 1
         assert kv(capsys)["target"] == "0" * 63 + "1"
+
+
+# Per subcommand: a valid start, its options, and the options that end every
+# drawn argv to keep its work small (argparse keeps an option's last value).
+_COMMANDS = {
+    "mine": (("--template", str(FIXTURE)),
+             ("--template", "--header", "--target", "--nbits", "--nonce-start",
+              "--nonce-end", "--threads", "--mode", "--chunk", "--format"),
+             ("--nonce-start", "0", "--nonce-end", "255")),
+    "verify": (("--header", "00" * 80), ("--header", "--target", "--format"), ()),
+    "bench": ((), ("--count", "--threads", "--set", "--seed", "--chunk", "--format"),
+              ("--count", "256")),
+    "reward": (("5",), ("--schedule", "--rounding", "--format"), ()),
+    "supply": ((), ("--schedule", "--height", "--format"), ()),
+    "table": ((), ("--heights", "--format"), ()),
+    "adders": ((), ("--set", "--format"), ()),
+    "energy": (("--power-per-ghs", "3.2", "--rate-ghs", "1", "--price-per-kwh", "0.1"),
+               ("--power-per-ghs", "--rate-ghs", "--price-per-kwh", "--fraction",
+                "--format"), ()),
+    "retarget-sim": (("--nbits", "1d00ffff", "--spans", "100"),
+                     ("--nbits", "--target", "--spans", "--expected", "--clamp",
+                      "--format"), ()),
+}
+_TOKENS = st.one_of(
+    st.sampled_from(["", "-", "+", "0x", "nan", "-inf", "1e308", "0.5", "1,2", "1d00ffff",
+                     "f" * 64, "early-exit", "generic", "exact", "original", "full", "none",
+                     "kv", "csv", "text"]),
+    st.from_regex(r"[-+]?(0x)?[0-9a-f]{1,12}", fullmatch=True),
+    st.integers(-(1 << 40), 1 << 40).map(str),
+)
+# Values that size the work come from bounded sets: a chunk below 256 lanes
+# would split the 256-nonce scans into many chunks of ~6,000 numpy calls each.
+_VALUES = {
+    "--chunk": st.sampled_from(["0", "-1", "x", "256", "0x10000", str(cli.kern.MAX_CHUNK),
+                                str(cli.kern.MAX_CHUNK + 1), str(1 << 32)]),
+    "--height": st.one_of(st.integers(-10, 10**6).map(str), st.sampled_from(["", "x", "0x"])),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    start, options, tail = _COMMANDS[command]
+    argv = [command, *(start if draw(st.booleans()) else ())]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)):
+            option = draw(st.sampled_from(options))
+            argv += [option, draw(_VALUES.get(option, _TOKENS))]
+        else:
+            argv.append(draw(_TOKENS))
+    return argv + list(tail)
+
+
+class TestExitContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_argv())
+    def test_any_argv_exits_0_1_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

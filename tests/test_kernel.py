@@ -272,8 +272,8 @@ class TestScanDecisions:
         assert self._counters(three) == self._counters(one)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # six spans on a two-CPU host: the pool gets two workers and the
-        # other spans queue, with the same winner and counters
+        # six threads asked for on a two-CPU host: three spans, the calling
+        # thread and two pool workers, with the same winner and counters
         sizes = []
         real_pool = kern.ThreadPoolExecutor
 
@@ -286,7 +286,7 @@ class TestScanDecisions:
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
-        assert kern._span(lo, hi, 6, 5)[0] < nonce
+        assert kern._span(lo, hi, 3, 2)[0] < nonce
         one = kern.scan(work, lo, hi, threads=1, chunk=512)
         six = kern.scan(work, lo, hi, threads=6, chunk=512)
         assert sizes == [1, 2]
@@ -294,8 +294,8 @@ class TestScanDecisions:
         assert self._counters(six) == self._counters(one)
 
     def test_spans_past_pool_size_add_no_workers(self, monkeypatch):
-        # 64 one-nonce spans on a two-CPU host: two pool workers and the
-        # calling thread claim them in order; the winner is in the last span
+        # 64 threads asked for over 64 nonces on a two-CPU host: three spans,
+        # two of them on pool workers; the winner is in the last span
         submits = []
 
         class Pool(kern.ThreadPoolExecutor):
@@ -309,14 +309,15 @@ class TestScanDecisions:
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         one = kern.scan(work, nonce - 63, nonce, threads=1)
         many = kern.scan(work, nonce - 63, nonce, threads=64)
-        assert len(submits) <= 2
+        assert len(submits) == 2
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert one.nonces_tried == 64
         assert self._counters(many) == self._counters(one)
 
     def test_span_claims_under_contention(self, monkeypatch):
-        # eight pool workers and the calling thread, switching every 10 us:
-        # a span claimed twice or never changes the exhaustive counters, and
+        # 32 threads asked for on an eight-CPU host: nine spans, one each for
+        # eight pool workers and the calling thread, switching every 10 us;
+        # a span scanned twice or never changes the exhaustive counters, and
         # a lost lowest-found update can hand the win to a higher span
         monkeypatch.setattr(kern.os, "cpu_count", lambda: 8)
         base = random.Random(SEED + 37).randbytes(80)
@@ -346,6 +347,31 @@ class TestScanDecisions:
             assert self._counters(got_none) == self._counters(want_none)
             assert got_some.found == want_some.found
             assert want_some.nonces_tried <= got_some.nonces_tried <= 2048
+
+    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch):
+        # 64 threads asked for on a two-CPU host: three spans that tile the
+        # range, each wide enough for full chunks, and the one-thread result
+        spans = []
+        scan_range = kern._scan_range
+
+        def recording(work, lo, hi, s, chunk, *rest):
+            spans.append((lo, hi, chunk))
+            return scan_range(work, lo, hi, s, chunk, *rest)
+
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        lo, hi = nonce - 8191, nonce + 100
+        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(kern, "_scan_range", recording)
+        many = kern.scan(work, lo, hi, threads=64, chunk=1024)
+        spans.sort()
+        assert len(spans) == 3
+        assert spans[0][0] == lo and spans[-1][1] == hi
+        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
+        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
+        assert self._counters(many) == self._counters(one)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -427,6 +453,15 @@ class TestChunkRule:
     @pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])
     def test_explicit_chunk_kept(self, threads, chunk):
         assert kern.effective_chunk(threads, chunk) == chunk
+
+    @pytest.mark.parametrize("chunk", [0, (1 << 20) + 1])
+    def test_chunk_out_of_bounds_rejected(self, chunk):
+        # a small range allocates min(chunk, range) lanes, so this fails safely
+        # even where the bound is missing
+        work = kern.prepare_header_work(random.Random(SEED + 44).randbytes(80), 1)
+        with pytest.raises(ValueError, match="chunk"):
+            kern.scan(work, 0, 15, chunk=chunk)
+        assert kern.scan(work, 0, 15, chunk=1 << 20).nonces_tried == 16
 
     def test_early_exit_exhaustive_scan_same_at_any_chunk(self):
         work = kern.prepare_header_work(random.Random(SEED + 42).randbytes(80), 1 << 155)

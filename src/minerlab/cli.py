@@ -41,16 +41,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _emit(pairs, fmt: str, out=None) -> None:
+def _emit(pairs, fmt: str) -> None:
     """``key: value`` lines for ``kv``; a header row and a value row for ``csv``."""
-    out = out or sys.stdout
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(k for k, _ in pairs)
         writer.writerow(v for _, v in pairs)
     else:
         for k, v in pairs:
-            print(f"{k}: {v}", file=out)
+            print(f"{k}: {v}")
 
 
 def _btc_str(satoshis: int) -> str:
@@ -141,24 +140,19 @@ def _load_work(args) -> tuple[bytes, int]:
 
 def cmd_mine(args) -> int:
     raw, target = _load_work(args)
-    lo, hi = args.nonce_start, args.nonce_end
-    if not 0 <= lo <= 0xFFFFFFFF or not 0 <= hi <= 0xFFFFFFFF:
-        raise ValueError("nonce bounds out of 32-bit range")
     full = costs.ImprovementSet.full()
     early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
     improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
-    pairs = [("target", f"{target:064x}"), ("mode", "early-exit" if early else "generic")]
-    if lo > hi:
-        _emit(pairs + [("result", "exhausted"), ("nonces_tried", 0)], args.format)
-        return EXIT_NEGATIVE
-
     work = kern.prepare_header_work(raw, target)
     chunk = _scan_chunk(args)
     started = time.perf_counter()
-    res = kern.scan(work, lo, hi, improvements=improvements, threads=args.threads, chunk=chunk)
+    res = kern.scan(work, args.nonce_start, args.nonce_end, improvements=improvements,
+                    threads=args.threads, chunk=chunk)
     elapsed = time.perf_counter() - started
 
-    pairs += [
+    pairs = [
+        ("target", f"{target:064x}"),
+        ("mode", "early-exit" if early else "generic"),
         ("threads", args.threads),
         ("chunk", chunk),
         ("nonces_tried", res.nonces_tried),
@@ -285,12 +279,10 @@ def cmd_supply(args) -> int:
         )
         return EXIT_OK
     total = rw.total_emission(args.schedule)
-    closed = total.closed_form_btc
     _emit(
         [
             ("schedule", args.schedule),
-            ("closed_form_btc", f"{closed.numerator}/{closed.denominator}"
-             if closed.denominator != 1 else str(closed.numerator)),
+            ("closed_form_btc", str(total.closed_form_btc)),
             ("iterated_satoshis", total.iterated_satoshis),
             ("iterated_btc", _btc_str(total.iterated_satoshis)),
             ("iterated_delta_satoshis", total.iterated_delta_satoshis),
@@ -368,15 +360,15 @@ def cmd_energy(args) -> int:
 def cmd_retarget_sim(args) -> int:
     target = args.target if args.target is not None else hdr.decode_nbits(args.nbits)
     clamp = None if args.clamp == 0 else args.clamp
-    spans = [_parse_int(s) for s in args.spans.split(",")]
+    steps = []  # the whole walk first, so a bad step fails before anything prints
+    for span in map(_parse_int, args.spans.split(",")):
+        target = rw.retarget(target, span, args.expected, clamp)
+        steps.append((span, target, hdr.encode_nbits(target), hdr.difficulty_of(target)))
     if args.format == "csv":
         print("step,span_s,target,nbits,difficulty")
     else:
         print(f"{'step':>4}  {'span_s':>9}  {'nbits':>8}  {'difficulty':>14}")
-    for i, span in enumerate(spans):
-        target = rw.retarget(target, span, args.expected, clamp)
-        nbits = hdr.encode_nbits(target)
-        difficulty = hdr.difficulty_of(target)
+    for i, (span, target, nbits, difficulty) in enumerate(steps):
         if args.format == "csv":
             print(f"{i},{span},{target:064x},{nbits:08x},{difficulty:.6f}")
         else:

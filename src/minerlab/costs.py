@@ -28,6 +28,7 @@ steps W19 from a precomputed base, so it requires 7.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -208,6 +209,8 @@ def energy_savings(
     power_mw = network_rate_ghs * power_per_ghs / 1e6
     mwh_per_day = power_mw * 24.0
     cost_per_day = mwh_per_day * 1000.0 * price_per_kwh
+    if not math.isfinite(cost_per_day):
+        raise ValueError("daily cost overflows a float")
     return EnergyReport(
         power_mw=power_mw,
         mwh_per_day=mwh_per_day,

@@ -467,7 +467,8 @@ def scan(
     chunk: int | None = None,
 ) -> ScanResult:
     """Scan the inclusive nonce range, returning the smallest qualifying
-    nonce if one exists.
+    nonce if one exists; an empty range (``nonce_lo > nonce_hi``) tries
+    nothing.
 
     The lanes run exactly the pipeline ``improvements`` selects, at any
     target; the caller names the mode (``mine`` prints ``early-exit`` when
@@ -484,13 +485,13 @@ def scan(
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
         if not 0 <= v <= MASK32:
             raise ValueError(f"{name} out of 32-bit range")
-    if nonce_lo > nonce_hi:
-        raise ValueError("empty nonce range")
     if threads < 1:
         raise ValueError("threads must be positive")
     chunk = effective_chunk(threads, chunk)
     if not 1 <= chunk <= MAX_CHUNK:
         raise ValueError(f"chunk must lie in [1, {MAX_CHUNK}], got {chunk}")
+    if nonce_lo > nonce_hi:
+        return ScanResult()
 
     parts = min(threads, nonce_hi - nonce_lo + 1, 1 + (os.cpu_count() or 1))
     lock = threading.Lock()

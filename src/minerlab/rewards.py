@@ -72,7 +72,7 @@ def reward_original(t: int, rounding: str = "floor") -> int | Fraction:
     ``floor`` (deployed behavior) halves the satoshi amount with integer
     right shifts and returns an int; it hits zero from period 33 on.
     ``exact`` returns the dyadic 50 * 2^-f BTC as a Fraction of satoshis
-    for the 33 nonzero deployed periods, zero beyond them.
+    through era 33 (``LAST_NONZERO_HALVING + 1``), zero beyond it.
     """
     _check_height(t)
     f = t // HALVING_INTERVAL
@@ -169,15 +169,11 @@ def _cumulative_original_satoshis(t: int) -> int:
 
 
 def _cumulative_original_exact(t: int) -> Fraction:
-    total = Fraction(0)
-    f = 0
-    remaining = t
-    while remaining > 0 and f <= LAST_NONZERO_HALVING + 1:
-        n = min(remaining, HALVING_INTERVAL)
-        total += n * Fraction(INITIAL_REWARD_SATOSHIS, 1 << f)
-        remaining -= n
-        f += 1
-    return total / SATOSHI_PER_BTC
+    # eras 0 .. f-1 leave 100 * 2^-f of the 100-BTC-per-block series unissued
+    # (CAP_BTC is 100 * HALVING_INTERVAL), and era f's first ``partial``
+    # blocks take 50 * 2^-f each; exact rewards end after era 33
+    f, partial = divmod(min(t, (LAST_NONZERO_HALVING + 2) * HALVING_INTERVAL), HALVING_INTERVAL)
+    return CAP_BTC - Fraction(50 * (2 * HALVING_INTERVAL - partial), 1 << f)
 
 
 def _cumulative_proposed_satoshis(t: int) -> int:
@@ -235,10 +231,7 @@ def total_emission(kind: ScheduleKind) -> EmissionTotal:
     """
     if kind == "original":
         closed = HALVING_INTERVAL * 50 * (1 / (1 - Fraction(1, 2)))
-        iterated = sum(
-            HALVING_INTERVAL * (INITIAL_REWARD_SATOSHIS >> f)
-            for f in range(LAST_NONZERO_HALVING + 1)
-        )
+        iterated = _cumulative_original_satoshis((LAST_NONZERO_HALVING + 1) * HALVING_INTERVAL)
     elif kind == "proposed":
         pre = HALVING_INTERVAL * 50 + HALVING_INTERVAL * 25
         closed = pre + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY))

@@ -93,7 +93,14 @@ class TestMine:
         )
         assert code == 1
         report = kv(capsys)
-        assert report["nonces_tried"] == "0"
+        # the report of any exhausted scan, with zero counters
+        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+                       "--nonce-end", "15") == 1
+        assert list(report) == list(kv(capsys))
+        assert report["result"] == "exhausted"
+        for key in ("nonces_tried", "rounds_executed", "stage1_survivors",
+                    "stage2_survivors", "nonces_per_s"):
+            assert report[key] == "0"
         # the mode a scan of that target would run, as in every other report
         assert report["mode"] == "generic"  # the fixture's target is 2^240
         assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
@@ -373,6 +380,22 @@ class TestUsage:
         assert "312500000" in proc.stdout
 
 class TestInputChecks:
+    @pytest.mark.parametrize("argv", [
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100,0"),
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--expected", "0"),
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "-1"),
+        ("energy", "--power-per-ghs", "1e308", "--rate-ghs", "1e308",
+         "--price-per-kwh", "1e308"),
+        # an empty range still meets the chunk bound
+        ("mine", "--template", str(FIXTURE), "--nonce-start", "5", "--nonce-end", "4",
+         "--chunk", "2097152"),
+    ])
+    def test_fails_before_printing(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_retarget_sim_needs_a_start(self, capsys):
         assert run_cli("retarget-sim", "--spans", "100") == 2
         err = capsys.readouterr().err
@@ -477,26 +500,29 @@ class TestInputChecks:
         assert kv(capsys)["target"] == "0" * 63 + "1"
 
 
-# Per subcommand: a valid start, its options, and the options that end every
-# drawn argv to keep its work small (argparse keeps an option's last value).
+# Per subcommand: a valid start, its options, and the tails of which one ends
+# every drawn argv to keep its work small (argparse keeps an option's last
+# value).  Half the mine argvs end in an empty range, which still meets the
+# drawn --chunk.
 _COMMANDS = {
     "mine": (("--template", str(FIXTURE)),
              ("--template", "--header", "--target", "--nbits", "--nonce-start",
               "--nonce-end", "--threads", "--mode", "--chunk", "--format"),
-             ("--nonce-start", "0", "--nonce-end", "255")),
-    "verify": (("--header", "00" * 80), ("--header", "--target", "--format"), ()),
+             [("--nonce-start", "0", "--nonce-end", "255"),
+              ("--nonce-start", "255", "--nonce-end", "0")]),
+    "verify": (("--header", "00" * 80), ("--header", "--target", "--format"), [()]),
     "bench": ((), ("--count", "--threads", "--set", "--seed", "--chunk", "--format"),
-              ("--count", "256")),
-    "reward": (("5",), ("--schedule", "--rounding", "--format"), ()),
-    "supply": ((), ("--schedule", "--height", "--format"), ()),
-    "table": ((), ("--heights", "--format"), ()),
-    "adders": ((), ("--set", "--format"), ()),
+              [("--count", "256")]),
+    "reward": (("5",), ("--schedule", "--rounding", "--format"), [()]),
+    "supply": ((), ("--schedule", "--height", "--format"), [()]),
+    "table": ((), ("--heights", "--format"), [()]),
+    "adders": ((), ("--set", "--format"), [()]),
     "energy": (("--power-per-ghs", "3.2", "--rate-ghs", "1", "--price-per-kwh", "0.1"),
                ("--power-per-ghs", "--rate-ghs", "--price-per-kwh", "--fraction",
-                "--format"), ()),
+                "--format"), [()]),
     "retarget-sim": (("--nbits", "1d00ffff", "--spans", "100"),
                      ("--nbits", "--target", "--spans", "--expected", "--clamp",
-                      "--format"), ()),
+                      "--format"), [()]),
 }
 _TOKENS = st.one_of(
     st.sampled_from(["", "-", "+", "0x", "nan", "-inf", "1e308", "0.5", "1,2", "1d00ffff",
@@ -517,7 +543,7 @@ _VALUES = {
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    start, options, tail = _COMMANDS[command]
+    start, options, tails = _COMMANDS[command]
     argv = [command, *(start if draw(st.booleans()) else ())]
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.integers(0, 3)):
@@ -525,7 +551,7 @@ def _argv(draw):
             argv += [option, draw(_VALUES.get(option, _TOKENS))]
         else:
             argv.append(draw(_TOKENS))
-    return argv + list(tail)
+    return argv + list(draw(st.sampled_from(tails)))
 
 
 class TestExitContract:
@@ -537,5 +563,6 @@ class TestExitContract:
             code = cli.main(argv)
         assert code in (0, 1, 2)
         if code == 2:
+            assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

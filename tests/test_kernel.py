@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minerlab.costs as costs
 import minerlab.header as hdr
@@ -18,6 +20,16 @@ SEED = 0x4EE1_0001
 FULL = costs.ImprovementSet.full()
 GENERIC = costs.ImprovementSet(FULL.flags - {"2"})
 MODE_SETS = {"early-exit": FULL, "generic": GENERIC}
+
+# One header at target 2^248: about one find per 256 nonces.
+_SPLIT_WORK = kern.prepare_header_work(random.Random(SEED + 46).randbytes(80), 1 << 248)
+
+@st.composite
+def _cut_range(draw):
+    """``lo``, ``hi`` and a cut ``k`` in ``lo..hi+1``; the range may be empty."""
+    lo = draw(st.integers(1, (1 << 32) - 1100))
+    hi = lo + draw(st.integers(0, 1024)) - 1
+    return lo, hi, draw(st.integers(lo, hi + 1))
 
 def _rand_header(rng) -> bytes:
     return rng.randbytes(80)
@@ -424,17 +436,41 @@ class TestScanDecisions:
                 assert res.found.digest == _dsha(_header_at(base, res.found.nonce))
         assert finds >= 48
 
-    def test_empty_range_rejected(self):
+    def test_empty_range_scans_nothing(self):
         base = random.Random(SEED + 20).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 200)
-        with pytest.raises(ValueError, match="empty"):
-            kern.scan(work, 5, 4)
+        assert kern.scan(work, 5, 4) == kern.ScanResult()
+        # the thread and chunk checks still hold on an empty range
+        with pytest.raises(ValueError, match="threads"):
+            kern.scan(work, 5, 4, threads=0)
+        with pytest.raises(ValueError, match="chunk"):
+            kern.scan(work, 5, 4, chunk=kern.MAX_CHUNK + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=_cut_range(), improvements=st.sampled_from([FULL, GENERIC]))
+    def test_split_scan_composes(self, cut, improvements):
+        # a scan cut at k, its empty ends included, is the scan of the whole
+        # range: the first part's find wins, else the counters add up and
+        # the second part's find is the find
+        lo, hi, k = cut
+        scan = lambda a, b: kern.scan(_SPLIT_WORK, a, b, improvements=improvements,
+                                      threads=1, chunk=256)
+        want = first = scan(lo, k - 1)
+        if first.found is None:
+            second = scan(k, hi)
+            want = kern.ScanResult(found=second.found, **{
+                name: getattr(first, name) + getattr(second, name)
+                for name in ("nonces_tried", "rounds_executed",
+                             "stage1_survivors", "stage2_survivors")})
+        assert scan(lo, hi) == want
 
     def test_nonce_bounds_checked(self):
         base = random.Random(SEED + 21).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 200)
-        with pytest.raises(ValueError):
-            kern.scan(work, 0, 1 << 32)
+        # empty ranges too: both ends must be 32-bit values
+        for lo, hi in ((0, 1 << 32), (0, -1), (1 << 32, (1 << 32) - 1)):
+            with pytest.raises(ValueError, match="32-bit"):
+                kern.scan(work, lo, hi)
 
 class TestChunkRule:
     """Without a chunk the scan picks one from the thread count; the chunk

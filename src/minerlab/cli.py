@@ -14,12 +14,11 @@ import random
 import string
 import sys
 import time
-from fractions import Fraction
 
 from . import costs, header as hdr, kernel as kern, rewards as rw
 from . import sha256 as sha
 
-DEFAULT_SEED = 0x6D696E65726C61B5  # fixed 64-bit seed, recorded in reports
+DEFAULT_SEED = 0x6D696E65726C61B5  # seeds the random header ``bench`` hashes
 # ``mine --mode auto`` runs early exit only below this target.  Early exit is
 # sound at any target, but the benchmark's find-desk check
 # (perfbench/workloads.py) expects desk targets to report ``mode: generic``
@@ -80,13 +79,6 @@ def _scan_chunk(args) -> int:
     """The chunk a scan runs: ``--chunk`` if given, else the thread count's."""
     return kern.effective_chunk(args.threads, None if isinstance(args.chunk, _PickedChunk)
                                 else args.chunk)
-
-
-def _seed(text: str) -> int:
-    value = _parse_int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {text!r}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -205,8 +197,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     improvements = costs.ImprovementSet.parse(args.set)
-    rng = random.Random(args.seed)
-    raw = rng.randbytes(76) + b"\x00" * 4
+    raw = random.Random(DEFAULT_SEED).randbytes(76)
     target = 1  # unreachable: pure throughput measurement
 
     work = kern.prepare_header_work(raw, target)
@@ -229,7 +220,6 @@ def cmd_bench(args) -> int:
     predicted = costs.compression_equivalents(improvements)
     _emit(
         [
-            ("seed", f"0x{args.seed:016x}"),
             ("count", args.count),
             ("threads", args.threads),
             ("chunk", chunk),
@@ -250,12 +240,8 @@ def cmd_bench(args) -> int:
 def cmd_reward(args) -> int:
     pairs = [("height", args.height)]
     if args.schedule in ("original", "both"):
-        sat = rw.reward_original(args.height, args.rounding)
-        if isinstance(sat, Fraction):
-            pairs += [("original_satoshis", f"{sat.numerator}/{sat.denominator}")]
-            pairs += [("original_btc", f"{float(sat) / 10**8:.8f}")]
-        else:
-            pairs += [("original_satoshis", sat), ("original_btc", _btc_str(sat))]
+        sat = rw.reward_original(args.height)
+        pairs += [("original_satoshis", sat), ("original_btc", _btc_str(sat))]
     if args.schedule in ("proposed", "both"):
         sat = rw.reward_proposed(args.height)
         pairs += [("proposed_satoshis", sat), ("proposed_btc", _btc_str(sat))]
@@ -418,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_bench)
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reward", help="block subsidy at a height")
     p.add_argument("height", type=_parse_int)
     p.add_argument("--schedule", choices=("original", "proposed", "both"), default="both")
-    p.add_argument("--rounding", choices=("floor", "exact"), default="floor")
     add_format(p)
     p.set_defaults(func=cmd_reward)
 

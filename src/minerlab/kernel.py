@@ -89,14 +89,14 @@ from .costs import ImprovementSet
 from .header import meets_target
 
 MASK32 = 0xFFFFFFFF
-# Lanes per numpy call when the caller gives no chunk.  One thread: the 31
+# Lanes per numpy call when the caller gives no chunk.  One thread: the 29
 # lane buffers of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
 # lanes past its winner.  Several threads: 2^14 calls make the threads convoy
 # on the GIL, so they keep 2^16.
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
 # The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
-# measures: 4 MiB for each of a thread's 31 lane buffers (39 without flag 1).
+# measures: 4 MiB for each of a thread's 29 lane buffers (37 without flag 1).
 MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
@@ -247,7 +247,7 @@ class _Lanes:
         # per-lane midstates, allocated only for pipelines without flag 1
         self.mids = [mk() for _ in range(8)] if recompute_midstate else []
         self.t1, self.t2 = mk(), mk()
-        self.ta, self.tb, self.tc, self.td = mk(), mk(), mk(), mk()
+        self.ta, self.tb = mk(), mk()
         self.nonces = mk()
 
     def view(self, m: int) -> "_Lanes":
@@ -284,11 +284,12 @@ class _Lanes:
 
     def sched(self, t):
         """w[t] = sigma1(w[t-2]) + w[t-7] + sigma0(w[t-15]) + w[t-16],
-        written over the ring slot holding w[t-16]."""
-        ring, ta, tb, tc, td = self.ring, self.ta, self.tb, self.tc, self.td
-        _vlittle_sigma1(ring[(t - 2) & 15], ta, tc, td)
+        written over the ring slot holding w[t-16].  The sigmas take their
+        scratch from t1 and t2, which :meth:`round` writes before it reads."""
+        ring, ta, tb, t1, t2 = self.ring, self.ta, self.tb, self.t1, self.t2
+        _vlittle_sigma1(ring[(t - 2) & 15], ta, t1, t2)
         np.add(ta, ring[(t - 7) & 15], ta)
-        _vlittle_sigma0(ring[(t - 15) & 15], tb, tc, td)
+        _vlittle_sigma0(ring[(t - 15) & 15], tb, t1, t2)
         np.add(ta, tb, ta)
         np.add(ta, ring[t & 15], ring[t & 15])
 
@@ -371,7 +372,7 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw) -> int:
     if "7" in s:
 
         def w18(out):
-            _vlittle_sigma0(n, out, lanes.tc, lanes.td)
+            _vlittle_sigma0(n, out, lanes.t1, lanes.t2)
             np.add(out, sched0[18], out)
 
         fixed_words[16] = lambda out: out.fill(sched0[16])

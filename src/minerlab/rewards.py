@@ -66,23 +66,11 @@ def _check_height(t: int) -> None:
         raise ValueError("height must be nonnegative")
 
 
-def reward_original(t: int, rounding: str = "floor") -> int | Fraction:
-    """Subsidy at height ``t`` under the halving rule.
-
-    ``floor`` (deployed behavior) halves the satoshi amount with integer
-    right shifts and returns an int; it hits zero from period 33 on.
-    ``exact`` returns the dyadic 50 * 2^-f BTC as a Fraction of satoshis
-    through era 33 (``LAST_NONZERO_HALVING + 1``), zero beyond it.
-    """
+def reward_original(t: int) -> int:
+    """Subsidy at height ``t`` under the halving rule, in satoshis: the
+    deployed integer right shift, zero from period 33 on."""
     _check_height(t)
-    f = t // HALVING_INTERVAL
-    if rounding == "floor":
-        return INITIAL_REWARD_SATOSHIS >> f if f < 64 else 0
-    if rounding == "exact":
-        if f > LAST_NONZERO_HALVING + 1:
-            return Fraction(0)
-        return Fraction(INITIAL_REWARD_SATOSHIS, 1 << f)
-    raise ValueError(f"unknown rounding mode {rounding!r}")
+    return INITIAL_REWARD_SATOSHIS >> t // HALVING_INTERVAL
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -266,7 +254,7 @@ def schedule_table(heights: Sequence[int] | None = None) -> list[TableRow]:
     if heights is None:
         heights = TABLE_HEIGHTS
     return [
-        TableRow(t, int(reward_original(t, "floor")), reward_proposed(t))
+        TableRow(t, reward_original(t), reward_proposed(t))
         for t in heights
     ]
 
@@ -280,7 +268,7 @@ def first_lower_height() -> int:
     k = SMOOTH_START_PERIOD
     while True:
         t = k * SMOOTH_PERIOD
-        if reward_proposed(t) < reward_original(t, "floor"):
+        if reward_proposed(t) < reward_original(t):
             return t
         k += 1
 

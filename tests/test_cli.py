@@ -212,8 +212,8 @@ class TestScanShape:
         if fmt == "kv":
             assert "chunk: 16384" in out.splitlines() and "threads: 1" in out.splitlines()
         else:
-            assert out.splitlines()[0].startswith("seed,count,threads,chunk,")
-            assert out.splitlines()[1].split(",")[2:4] == ["1", "16384"]
+            assert out.splitlines()[0].startswith("count,threads,chunk,")
+            assert out.splitlines()[1].split(",")[1:3] == ["1", "16384"]
 
     @pytest.mark.parametrize("argv", [
         ("bench", "--count", "4096", "--threads", "1"),
@@ -261,7 +261,6 @@ class TestBench:
             1.90625, abs=1e-4
         )
         assert float(report["wallclock_speedup"]) > 0
-        assert report["seed"].startswith("0x")
 
     def test_zero_count_rejected(self):
         assert run_cli("bench", "--count", "0") == 2
@@ -462,16 +461,15 @@ class TestInputChecks:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "not allowed with" in err
 
-    @pytest.mark.parametrize("seed", ["-1", hex(1 << 64)])
-    def test_bench_seed_out_of_range(self, seed, capsys):
-        assert run_cli("bench", "--count", "1", "--seed", seed) == 2
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--count", "1", "--seed", "1"),
+        ("reward", "5", "--rounding", "floor"),
+    ])
+    def test_removed_options_rejected(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_bench_seed_top_of_range(self, capsys):
-        assert run_cli("bench", "--count", "1", "--threads", "1",
-                       "--seed", hex((1 << 64) - 1)) == 0
-        assert kv(capsys)["seed"] == "0xffffffffffffffff"
 
     @pytest.mark.parametrize("argv", [
         ("mine", "--threads", "x"),
@@ -479,7 +477,6 @@ class TestInputChecks:
         ("mine", "--nonce-end", "1.5"),
         ("mine", "--chunk", "x"),
         ("bench", "--count", "x"),
-        ("bench", "--count", "9", "--seed", "x"),
         ("reward", "x"),
         ("supply", "--height", "x"),
         ("table", "--heights", "1,x"),
@@ -511,9 +508,9 @@ _COMMANDS = {
              [("--nonce-start", "0", "--nonce-end", "255"),
               ("--nonce-start", "255", "--nonce-end", "0")]),
     "verify": (("--header", "00" * 80), ("--header", "--target", "--format"), [()]),
-    "bench": ((), ("--count", "--threads", "--set", "--seed", "--chunk", "--format"),
+    "bench": ((), ("--count", "--threads", "--set", "--chunk", "--format"),
               [("--count", "256")]),
-    "reward": (("5",), ("--schedule", "--rounding", "--format"), [()]),
+    "reward": (("5",), ("--schedule", "--format"), [()]),
     "supply": ((), ("--schedule", "--height", "--format"), [()]),
     "table": ((), ("--heights", "--format"), [()]),
     "adders": ((), ("--set", "--format"), [()]),
@@ -526,7 +523,7 @@ _COMMANDS = {
 }
 _TOKENS = st.one_of(
     st.sampled_from(["", "-", "+", "0x", "nan", "-inf", "1e308", "0.5", "1,2", "1d00ffff",
-                     "f" * 64, "early-exit", "generic", "exact", "original", "full", "none",
+                     "f" * 64, "early-exit", "generic", "original", "full", "none",
                      "kv", "csv", "text"]),
     st.from_regex(r"[-+]?(0x)?[0-9a-f]{1,12}", fullmatch=True),
     st.integers(-(1 << 40), 1 << 40).map(str),

@@ -25,20 +25,7 @@ class TestOriginalReward:
     def test_floor_mode_reaches_zero(self):
         assert rw.reward_original(33 * 210_000) == 0
         assert rw.reward_original(32 * 210_000) == 1  # last single satoshi
-
-    def test_exact_mode_matches_floor_while_integral(self):
-        for f in range(10):
-            t = f * 210_000
-            assert rw.reward_original(t, "exact") == rw.reward_original(t, "floor")
-
-    def test_exact_mode_keeps_fractional_satoshis(self):
-        got = rw.reward_original(10 * 210_000, "exact")
-        assert got == Fraction(50 * 10**8, 2**10)
-        assert got.denominator > 1
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            rw.reward_original(0, "banker")
+        assert rw.reward_original(10**8) == 0  # era 476: the shift passes 64 bits
 
     def test_negative_height(self):
         with pytest.raises(ValueError):
@@ -50,7 +37,7 @@ class TestProposedReward:
         rng = random.Random(SEED)
         for _ in range(500):
             t = rng.randrange(0, 420_000)
-            assert rw.reward_proposed(t) == rw.reward_original(t, "floor")
+            assert rw.reward_proposed(t) == rw.reward_original(t)
 
     def test_no_drop_at_420k(self):
         for t in (420_000, 420_100, 420_335):

@@ -109,25 +109,12 @@ def _nbits_hex(text: str) -> int:
     return int(text, 16)
 
 
-def _resolve_target(args, template_target, nbits) -> int:
-    if args.target is not None:
-        return args.target
-    if args.nbits is not None:
-        return hdr.decode_nbits(args.nbits)
-    if template_target is not None:
-        return template_target
-    return hdr.decode_nbits(nbits)
-
-
 def _load_work(args) -> tuple[bytes, int]:
-    """Header bytes (nonce field zeroed) and the effective target."""
-    if args.template is not None:
-        with open(args.template, "r", encoding="utf-8") as fh:
-            block_header, template_target = hdr.parse_work_template(fh.read())
-    else:
-        block_header, template_target = hdr.header_from_hex(args.header), None
-    raw = hdr.serialize_header(block_header)
-    return raw, _resolve_target(args, template_target, block_header.nbits)
+    """``--header`` as bytes and the target: ``--target`` if given, else the
+    header's nbits decoded."""
+    block_header = hdr.header_from_hex(args.header)
+    target = args.target if args.target is not None else hdr.decode_nbits(block_header.nbits)
+    return hdr.serialize_header(block_header), target
 
 
 def cmd_mine(args) -> int:
@@ -176,12 +163,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    block_header = hdr.header_from_hex(args.header)
-    raw = hdr.serialize_header(block_header)
-    if args.target is not None:
-        target = args.target
-    else:
-        target = hdr.decode_nbits(block_header.nbits)
+    raw, target = _load_work(args)
     digest = sha.sha256d(raw)  # reference path only
     ok = hdr.meets_target(digest, target)
     _emit(
@@ -280,7 +262,7 @@ def cmd_supply(args) -> int:
 
 def cmd_table(args) -> int:
     heights = None
-    if args.heights:
+    if args.heights is not None:
         heights = [_parse_int(h) for h in args.heights.split(",")]
     rows = rw.schedule_table(heights)
     if args.format == "csv":
@@ -378,12 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{kern.DEFAULT_CHUNK} on one thread, {kern.THREADED_CHUNK} on more)")
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--template", help="work template file (key: value document)")
-    g.add_argument("--header", help="160-char header hex (nonce field ignored)")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--target", type=_target_hex, help="target hex override")
-    g.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex override")
+    p.add_argument("--header", required=True, help="160-char header hex (nonce field ignored)")
+    p.add_argument("--target", type=_target_hex, help="target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
@@ -445,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--target", type=_target_hex, help="target hex start")
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
     p.add_argument("--expected", type=_parse_int, default=2016 * 600)
-    p.add_argument("--clamp", type=int, default=4, help="0 disables clamping")
+    p.add_argument("--clamp", type=_parse_int, default=4, help="0 disables clamping")
     add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_retarget_sim)
 

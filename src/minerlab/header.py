@@ -18,8 +18,6 @@ HEADER_LEN = 80
 MAX_TARGET = (1 << 256) - 1
 _HEADER_FMT = "<i32s32sIII"
 
-_TEMPLATE_KEYS = ("version", "prev_block", "merkle_root", "timestamp", "nbits", "target")
-
 
 @dataclass(frozen=True)
 class BlockHeader:
@@ -158,52 +156,3 @@ def digest_hex(digest: bytes) -> str:
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
     return digest[::-1].hex()
-
-
-def parse_work_template(text: str) -> tuple[BlockHeader, int | None]:
-    """Parse a work template document.
-
-    One ``key: value`` pair per line; ``#`` comments and blank lines are
-    ignored. Required keys: version, prev_block (64 hex), merkle_root
-    (64 hex), timestamp, nbits (8 hex). Optional: target (64 hex) to
-    override the nbits-derived target. The nonce is absent by design; the
-    returned header carries nonce 0.
-    """
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if not sep or not value:
-            raise ValueError(f"template line {lineno}: expected 'key: value'")
-        if key not in _TEMPLATE_KEYS:
-            raise ValueError(f"template line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise ValueError(f"template line {lineno}: duplicate key {key!r}")
-        fields[key] = value
-    missing = [k for k in _TEMPLATE_KEYS[:5] if k not in fields]
-    if missing:
-        raise ValueError(f"template missing keys: {', '.join(missing)}")
-
-    def _hex_bytes(key: str, length: int) -> bytes:
-        raw = bytes.fromhex(fields[key])
-        if len(raw) != length:
-            raise ValueError(f"template {key}: expected {2 * length} hex chars")
-        return raw
-
-    header = BlockHeader(
-        version=int(fields["version"], 0),
-        prev_block=_hex_bytes("prev_block", 32),
-        merkle_root=_hex_bytes("merkle_root", 32),
-        timestamp=int(fields["timestamp"], 0),
-        nbits=int(fields["nbits"], 16),
-        nonce=0,
-    )
-    target = None
-    if "target" in fields:
-        target = int(fields["target"], 16)
-        if not 0 < target <= MAX_TARGET:
-            raise ValueError("template target out of range")
-    return header, target

@@ -101,12 +101,9 @@ MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
-# Second-compression constant message words: 0x80000000 marker, ten zeros,
-# and the 640-bit length of the 80-byte header.
-_COMP2_PAD = (0x80000000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 640)
-# Third-compression constant words by slot, behind the 8 hash words: marker,
-# six zeros, and the 256-bit length.
-_COMP3_PAD = dict(enumerate((0x80000000, 0, 0, 0, 0, 0, 0, 256), start=8))
+# The third compression's block with the 8 hash words zeroed: words 8..15
+# are the padding of a 32-byte message.
+_COMP3_BLOCK = sha.pad_message(bytes(32))[0]
 
 # The flag under which each constant-word round adds its folded K+W.
 _FOLD_FLAGS_COMP2 = {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"}
@@ -179,8 +176,9 @@ def prepare_header_work(header: bytes, target: int) -> PreparedWork:
         raise ValueError("zero target")
     if target >= 1 << 256:
         raise ValueError("target overflows 256 bits")
-    midstate = sha.compress(sha.IV, struct.unpack(">16I", header[:64]))
-    sched0 = tuple(sha.expand_schedule(struct.unpack(">3I", header[64:76]) + (0,) + _COMP2_PAD))
+    block1, block2 = sha.pad_message(header[:76] + bytes(4))
+    midstate = sha.compress(sha.IV, block1)
+    sched0 = tuple(sha.expand_schedule(block2))
     state_r3 = midstate
     for t in range(3):
         state_r3 = sha.compression_round(state_r3, sched0[t], sha.K[t])
@@ -384,8 +382,8 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw) -> int:
     lanes.feedforward(midstate, ring)
 
     # third compression: the first hash in ring slots 0..7, then padding
-    for slot, w in _COMP3_PAD.items():
-        ring[slot][:] = w
+    for slot in range(8, 16):
+        ring[slot][:] = _COMP3_BLOCK[slot]
     lanes.fill_regs(sha.IV)
     rounds += lanes.compress(kw3, 0, 60 if "2" in s else 63)
     return rounds
@@ -413,7 +411,7 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> ScanResult:
     stage2_active = work.target < WORD6_TARGET_BOUND
     kw = (_kw_table((), {}, s),  # the first compression folds nothing
           _kw_table(work.sched0, _FOLD_FLAGS_COMP2, s),
-          _kw_table(_COMP3_PAD, _FOLD_FLAGS_COMP3, s))
+          _kw_table(_COMP3_BLOCK, _FOLD_FLAGS_COMP3, s))
     pos = lo
     while pos <= hi and res.found is None and not should_abort():
         m = min(chunk, hi - pos + 1)

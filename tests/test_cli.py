@@ -17,7 +17,15 @@ import minerlab.cli as cli
 import minerlab.header as hdr
 import minerlab.sha256 as sha
 
-FIXTURE = Path(__file__).parent / "data" / "work_template.txt"
+# A desk-scale work fixture: a version-2 header at nbits 1d00ffff, mined at
+# target 2^240.
+FIXTURE_HEADER = (
+    "02000000d41df5331a07eed39340854a033a02592345070111b028ccdd6584b6c54c5d1b"
+    "a364ed49cfa1f29657a2d051c3405cc9b0465a96230b3648a30666de3f7f93a700c06552"
+    "ffff001d00000000"
+)
+FIXTURE_TARGET = 1 << 240
+FIXTURE = ("--header", FIXTURE_HEADER, "--target", f"{FIXTURE_TARGET:064x}")
 SEED = 0xC11_0001
 
 def run_cli(*argv) -> int:
@@ -35,10 +43,9 @@ def kv(capsys) -> dict:
 @pytest.fixture(scope="module")
 def solved():
     """Mine the bundled fixture once; reuse the solved header everywhere."""
-    parsed, target = hdr.parse_work_template(FIXTURE.read_text())
     import minerlab.kernel as kern
 
-    raw = hdr.serialize_header(parsed)
+    raw, target = bytes.fromhex(FIXTURE_HEADER), FIXTURE_TARGET
     res = kern.scan(kern.prepare_header_work(raw, target), 0, 0x1FFFF)
     assert res.found is not None
     return raw[:76] + res.found.nonce.to_bytes(4, "big"), target, res.found
@@ -48,8 +55,8 @@ def solved():
 FIXTURE_END = ("--nonce-end", "0x20000")
 
 class TestMine:
-    def test_fixture_template_found_and_verified(self, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
+    def test_fixture_found_and_verified(self, capsys):
+        assert run_cli("mine", *FIXTURE, "--threads", "1", *FIXTURE_END) == 0
         report = kv(capsys)
         assert report["result"] == "found"
         assert report["verified"] == "reference-ok"
@@ -62,7 +69,7 @@ class TestMine:
         prepare = cli.kern.prepare_header_work
         monkeypatch.setattr(cli.kern, "prepare_header_work", lambda raw, target:
                             dataclasses.replace(prepare(raw, target), midstate=sha.IV))
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--threads", "1",
                        "--target", "8" + "0" * 63) == 0
         report = kv(capsys)
         header = bytes.fromhex(report["header"])
@@ -82,19 +89,19 @@ class TestMine:
                 return _real(*args)
 
             monkeypatch.setattr(sha, name, counted)
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
+        assert run_cli("mine", *FIXTURE, "--threads", "1", *FIXTURE_END) == 0
         assert kv(capsys)["result"] == "found"
         assert calls == {"compress": 4, "sha256d": 1}
 
     def test_empty_range_exits_1(self, capsys):
         code = run_cli(
-            "mine", "--template", str(FIXTURE),
+            "mine", *FIXTURE,
             "--nonce-start", "10", "--nonce-end", "9",
         )
         assert code == 1
         report = kv(capsys)
         # the report of any exhausted scan, with zero counters
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1",
                        "--nonce-end", "15") == 1
         assert list(report) == list(kv(capsys))
         assert report["result"] == "exhausted"
@@ -103,13 +110,13 @@ class TestMine:
             assert report[key] == "0"
         # the mode a scan of that target would run, as in every other report
         assert report["mode"] == "generic"  # the fixture's target is 2^240
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1",
                        "--nonce-start", "10", "--nonce-end", "9") == 1
         assert kv(capsys)["mode"] == "early-exit"
 
     def test_not_found_range_exits_1(self, capsys):
         code = run_cli(
-            "mine", "--template", str(FIXTURE),
+            "mine", "--header", FIXTURE_HEADER,
             "--nonce-start", "0", "--nonce-end", "255",
             "--target", "0" * 63 + "1", "--threads", "1",
         )
@@ -117,14 +124,6 @@ class TestMine:
         report = kv(capsys)
         assert report["result"] == "exhausted"
         assert report["nonces_tried"] == "256"
-
-    def test_malformed_template_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("version: 2\nbogus\n")
-        assert run_cli("mine", "--template", str(bad)) == 2
-
-    def test_missing_template_file_exits_2(self):
-        assert run_cli("mine", "--template", "/nonexistent/nope.txt") == 2
 
     def test_header_and_nbits_flags(self, solved, capsys):
         raw, target, _found = solved
@@ -137,9 +136,9 @@ class TestMine:
         assert kv(capsys)["header"] == raw.hex()
 
     def test_threads_match_single(self, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "4", *FIXTURE_END) == 0
+        assert run_cli("mine", *FIXTURE, "--threads", "4", *FIXTURE_END) == 0
         multi = kv(capsys)["nonce"]
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
+        assert run_cli("mine", *FIXTURE, "--threads", "1", *FIXTURE_END) == 0
         assert kv(capsys)["nonce"] == multi
 
 class TestModeMapping:
@@ -149,11 +148,11 @@ class TestModeMapping:
     def test_desk_target(self, solved, capsys):
         # the fixture's target is 2^240
         _raw, _target, found = solved
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1", *FIXTURE_END) == 0
+        assert run_cli("mine", *FIXTURE, "--threads", "1", *FIXTURE_END) == 0
         auto = kv(capsys)
         assert auto["mode"] == "generic" and auto["nonce"] == f"0x{found.nonce:08x}"
         assert int(auto["rounds_executed"]) == 125 * int(auto["nonces_tried"])
-        assert run_cli("mine", "--template", str(FIXTURE), "--threads", "1",
+        assert run_cli("mine", *FIXTURE, "--threads", "1",
                        "--mode", "early-exit", *FIXTURE_END) == 0
         early = kv(capsys)
         assert early["mode"] == "early-exit" and early["nonce"] == auto["nonce"]
@@ -165,7 +164,7 @@ class TestModeMapping:
     @pytest.mark.parametrize("extra, mode", [((), "early-exit"),
                                              (("--mode", "generic"), "generic")])
     def test_below_word7_bound(self, extra, mode, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1", "--threads", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1", "--threads", "1",
                        "--nonce-end", "4095", *extra) == 1
         assert kv(capsys)["mode"] == mode
 
@@ -176,7 +175,7 @@ class TestModeMapping:
         # an empty range prints the mode a 256-nonce scan runs
         want = auto if mode == "auto" else mode
         for end in ("9", "265"):
-            assert run_cli("mine", "--template", str(FIXTURE), "--target", f"{target:x}",
+            assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", f"{target:x}",
                            "--mode", mode, "--threads", "1",
                            "--nonce-start", "10", "--nonce-end", end) in (0, 1)
             assert kv(capsys)["mode"] == want
@@ -192,14 +191,14 @@ class TestScanShape:
         (("--threads", "1", "--chunk", "65536"), "65536"),
     ])
     def test_mine_reports_chunk(self, extra, chunk, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1",
                        "--nonce-end", "255", *extra) == 1
         report = kv(capsys)
         assert report["chunk"] == chunk
         assert report["threads"] == extra[1]
 
     def test_mine_csv_has_chunk_and_threads(self, capsys):
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1", "--nonce-end", "255",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1", "--nonce-end", "255",
                        "--threads", "2", "--format", "csv") == 1
         keys, values = capsys.readouterr().out.splitlines()
         row = dict(zip(keys.split(","), values.split(",")))
@@ -386,7 +385,7 @@ class TestInputChecks:
         ("energy", "--power-per-ghs", "1e308", "--rate-ghs", "1e308",
          "--price-per-kwh", "1e308"),
         # an empty range still meets the chunk bound
-        ("mine", "--template", str(FIXTURE), "--nonce-start", "5", "--nonce-end", "4",
+        ("mine", *FIXTURE, "--nonce-start", "5", "--nonce-end", "4",
          "--chunk", "2097152"),
     ])
     def test_fails_before_printing(self, argv, capsys):
@@ -411,13 +410,12 @@ class TestInputChecks:
     @pytest.mark.parametrize("bad", ["0" * 65, "0" * 64, "0x" + "f" * 8, "zz", "-1",
                                      " ff", "1_0", ""])
     def test_target_form_checked(self, bad):
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", bad) == 2
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", bad) == 2
         assert run_cli("verify", "--header", "00" * 80, "--target", bad) == 2
         assert run_cli("retarget-sim", "--target", bad, "--spans", "100") == 2
 
     @pytest.mark.parametrize("bad", ["1d00fff", "1d00ffff0", "0x1d00ff", "1d00fffg"])
     def test_nbits_form_checked(self, bad):
-        assert run_cli("mine", "--template", str(FIXTURE), "--nbits", bad) == 2
         assert run_cli("retarget-sim", "--nbits", bad, "--spans", "100") == 2
 
     @pytest.mark.parametrize("argv", [
@@ -433,7 +431,7 @@ class TestInputChecks:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ("mine", "--template", str(FIXTURE), "--format", "text"),
+        ("mine", *FIXTURE, "--format", "text"),
         ("table", "--format", "kv"),
     ])
     def test_format_choices_differ(self, argv):
@@ -445,14 +443,12 @@ class TestInputChecks:
     ])
     def test_below_one_rejected(self, option, value, capsys):
         # 16 nonces allocate at most 16 lanes, whatever the chunk
-        assert run_cli("mine", "--template", str(FIXTURE), "--nonce-end", "15",
+        assert run_cli("mine", *FIXTURE, "--nonce-end", "15",
                        option, value) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ("mine", "--template", str(FIXTURE), "--header", "00"),
-        ("mine", "--template", str(FIXTURE), "--target", "1", "--nbits", "1d00ffff"),
         ("retarget-sim", "--nbits", "1d00ffff", "--target", "1", "--spans", "100"),
     ])
     def test_conflicting_options_rejected(self, argv, capsys):
@@ -464,12 +460,41 @@ class TestInputChecks:
     @pytest.mark.parametrize("argv", [
         ("bench", "--count", "1", "--seed", "1"),
         ("reward", "5", "--rounding", "floor"),
+        ("mine", "--header", FIXTURE_HEADER, "--nbits", "1d00ffff", "--nonce-end", "15"),
     ])
     def test_removed_options_rejected(self, argv, capsys):
         assert run_cli(*argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_template_option_removed(self, tmp_path, capsys):
+        # a well-formed work template of the fixture's fields
+        h = hdr.header_from_hex(FIXTURE_HEADER)
+        template = tmp_path / "work.txt"
+        template.write_text(f"version: {h.version}\nprev_block: {h.prev_block.hex()}\n"
+                            f"merkle_root: {h.merkle_root.hex()}\ntimestamp: {h.timestamp}\n"
+                            f"nbits: {h.nbits:08x}\n")
+        assert run_cli("mine", "--template", str(template), "--nonce-end", "15") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (("table", "--heights", ""), None),
+        (("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "0x4"),
+         ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "4")),
+    ])
+    def test_integer_options_read_alike(self, argv, same_as, capsys):
+        # an empty list is an error, not the default; 0x hex reads as its number
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        if same_as is None:
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert code == run_cli(*same_as) == 0
+            assert out == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ("mine", "--threads", "x"),
@@ -492,7 +517,7 @@ class TestInputChecks:
     def test_short_target_is_a_number(self, capsys):
         # fewer than 64 digits read as a plain hex number: the benchmark's
         # set-up probe (perfbench/setup_probe.py) passes --target 1
-        assert run_cli("mine", "--template", str(FIXTURE), "--target", "1",
+        assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1",
                        "--nonce-end", "15", "--threads", "1", "--format", "kv") == 1
         assert kv(capsys)["target"] == "0" * 63 + "1"
 
@@ -502,9 +527,9 @@ class TestInputChecks:
 # value).  Half the mine argvs end in an empty range, which still meets the
 # drawn --chunk.
 _COMMANDS = {
-    "mine": (("--template", str(FIXTURE)),
-             ("--template", "--header", "--target", "--nbits", "--nonce-start",
-              "--nonce-end", "--threads", "--mode", "--chunk", "--format"),
+    "mine": (FIXTURE,
+             ("--header", "--target", "--nonce-start", "--nonce-end", "--threads", "--mode",
+              "--chunk", "--format"),
              [("--nonce-start", "0", "--nonce-end", "255"),
               ("--nonce-start", "255", "--nonce-end", "0")]),
     "verify": (("--header", "00" * 80), ("--header", "--target", "--format"), [()]),
@@ -563,3 +588,36 @@ class TestExitContract:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
+def _readme_argvs() -> list:
+    """The argv of each ``minerlab`` line in README's fenced blocks, less its
+    trailing comment, with the placeholders filled in."""
+    argvs, fenced = [], False
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("minerlab "):
+            line = line.split("#", 1)[0]
+            line = line.replace("<160 hex chars>", "00" * 80).replace("<64 hex>", "f" * 64)
+            argvs.append(line.split()[1:])
+    return argvs
+
+
+class TestDocs:
+    def test_readme_commands_parse(self):
+        argvs = _readme_argvs()
+        assert argvs
+        parser = cli.build_parser()
+        unparsed = []
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                unparsed.append(" ".join(argv))
+        assert unparsed == []
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_subcommand_help(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: minerlab {command} ")

@@ -203,53 +203,6 @@ class TestMeetsTarget:
         assert abs(hits - mean) <= band
 
 
-# A template for the header below, as a miner would write it by hand.
-_TEMPLATE = """\
-version: 2
-prev_block: 0000000000000000000000000000000000000000000000000000000000000000
-merkle_root: 1111111111111111111111111111111111111111111111111111111111111111
-timestamp: 1700000000
-nbits: 1d00ffff
-"""
-_TEMPLATE_HEADER = hdr.BlockHeader(2, b"\x00" * 32, b"\x11" * 32, 1_700_000_000, 0x1D00FFFF, 0)
-
-
-class TestWorkTemplate:
-    def test_round_trip(self):
-        rng = random.Random(SEED + 12)
-        h = _rand_header(rng)
-        h = hdr.BlockHeader(2, h.prev_block, h.merkle_root, h.timestamp, 0x1D00FFFF, 0)
-        text = (f"version: 2\nprev_block: {h.prev_block.hex()}\n"
-                f"merkle_root: {h.merkle_root.hex()}\ntimestamp: {h.timestamp}\n"
-                f"nbits: 1d00ffff\ntarget: {1 << 240:064x}\n")
-        parsed, target = hdr.parse_work_template(text)
-        assert parsed == h
-        assert target == 1 << 240
-
-    def test_target_optional(self):
-        parsed, target = hdr.parse_work_template(_TEMPLATE)
-        assert parsed == _TEMPLATE_HEADER
-        assert target is None
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# produced by tests\n\n" + _TEMPLATE.replace("\n", "  # note\n\n", 1)
-        assert hdr.parse_work_template(text)[0] == _TEMPLATE_HEADER
-
-    @pytest.mark.parametrize(
-        "mutation",
-        [
-            lambda t: t.replace("nbits", "nbitz"),
-            lambda t: t + "bogus line without separator\n",
-            lambda t: t + "version: 3\n",
-            lambda t: t.replace("timestamp: ", "timestamp: notanumber "),
-            lambda t: "\n".join(t.splitlines()[1:]),
-        ],
-    )
-    def test_malformed_rejected(self, mutation):
-        with pytest.raises(ValueError):
-            hdr.parse_work_template(mutation(_TEMPLATE))
-
-
 def test_byteswap_involution():
     rng = random.Random(SEED + 13)
     for _ in range(100):

@@ -92,7 +92,7 @@ class TestPrepareWork:
         work = kern.prepare_header_work(base, target=1 << 200)
         for _ in range(20):
             nonce = rng.getrandbits(32)
-            block2 = struct.unpack(">3I", base[64:76]) + (nonce,) + kern._COMP2_PAD
+            block2 = sha.pad_message(base[:76] + nonce.to_bytes(4, "big"))[1]
             w = sha.expand_schedule(block2)
             assert work.sched0[16] == w[16]
             assert work.sched0[17] == w[17]
@@ -114,7 +114,7 @@ class TestPrepareWork:
     @staticmethod
     def _full_tables(work):
         return (kern._kw_table(work.sched0, kern._FOLD_FLAGS_COMP2, FULL),
-                kern._kw_table(kern._COMP3_PAD, kern._FOLD_FLAGS_COMP3, FULL))
+                kern._kw_table(kern._COMP3_BLOCK, kern._FOLD_FLAGS_COMP3, FULL))
 
     def test_fold_table_covers_constant_rounds(self):
         base = random.Random(SEED + 5).randbytes(80)

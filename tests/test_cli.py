@@ -449,7 +449,12 @@ class TestInputChecks:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ("retarget-sim", "--nbits", "1d00ffff", "--target", "1", "--spans", "100"),
+        # the conflict is caught whichever option comes first; the ids are
+        # those of the earlier list, whose two mine cases are gone with their options
+        pytest.param(("retarget-sim", "--target", "1", "--nbits", "1d00ffff", "--spans", "100"),
+                     id="argv0"),
+        pytest.param(("retarget-sim", "--nbits", "1d00ffff", "--target", "1", "--spans", "100"),
+                     id="argv2"),
     ])
     def test_conflicting_options_rejected(self, argv, capsys):
         assert run_cli(*argv) == 2

@@ -221,12 +221,9 @@ def cmd_bench(args) -> int:
 
 def cmd_reward(args) -> int:
     pairs = [("height", args.height)]
-    if args.schedule in ("original", "both"):
-        sat = rw.reward_original(args.height)
-        pairs += [("original_satoshis", sat), ("original_btc", _btc_str(sat))]
-    if args.schedule in ("proposed", "both"):
-        sat = rw.reward_proposed(args.height)
-        pairs += [("proposed_satoshis", sat), ("proposed_btc", _btc_str(sat))]
+    for name, reward in (("original", rw.reward_original), ("proposed", rw.reward_proposed)):
+        sat = reward(args.height)
+        pairs += [(f"{name}_satoshis", sat), (f"{name}_btc", _btc_str(sat))]
     _emit(pairs, args.format)
     return EXIT_OK
 
@@ -237,10 +234,10 @@ def cmd_supply(args) -> int:
         _emit(
             [
                 ("schedule", args.schedule),
-                ("height", rep.height),
+                ("height", args.height),
                 ("cumulative_satoshis", rep.cumulative_satoshis),
                 ("cumulative_btc", _btc_str(rep.cumulative_satoshis)),
-                ("cap_delta_satoshis", rep.cap_delta_satoshis),
+                ("cap_delta_satoshis", rw.CAP_SATOSHIS - rep.cumulative_satoshis),
                 ("exact_btc", f"{float(rep.exact_btc):.8f}"),
             ],
             args.format,
@@ -253,7 +250,7 @@ def cmd_supply(args) -> int:
             ("closed_form_btc", str(total.closed_form_btc)),
             ("iterated_satoshis", total.iterated_satoshis),
             ("iterated_btc", _btc_str(total.iterated_satoshis)),
-            ("iterated_delta_satoshis", total.iterated_delta_satoshis),
+            ("iterated_delta_satoshis", total.iterated_satoshis - rw.CAP_SATOSHIS),
         ],
         args.format,
     )
@@ -275,15 +272,14 @@ def cmd_table(args) -> int:
         return EXIT_OK
     print(f"{'height':>9}  {'old BTC':>12}  {'new BTC':>12}  {'published':>9}  {'delta':>9}")
     for r in rows:
-        published = rw.PUBLISHED_NEW_BTC.get(r.height)
+        published = rw.PUBLISHED_NEW_SATOSHIS.get(r.height)
         if published is None:
             pub_s, delta_s = "-", "-"
         else:
-            delta = r.new_btc - published
-            pub_s = f"{float(published):.4f}"
-            delta_s = f"{float(delta):+.4f}"
+            pub_s = f"{published / 10**8:.4f}"
+            delta_s = f"{(r.new_satoshis - published) / 10**8:+.4f}"
         print(
-            f"{r.height:>9}  {float(r.old_btc):>12.8f}  {float(r.new_btc):>12.8f}"
+            f"{r.height:>9}  {_btc_str(r.old_satoshis):>12}  {_btc_str(r.new_satoshis):>12}"
             f"  {pub_s:>9}  {delta_s:>9}"
         )
     print(f"first height where the new subsidy is lower: {rw.first_lower_height()}")
@@ -326,7 +322,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_retarget_sim(args) -> int:
-    target = args.target if args.target is not None else hdr.decode_nbits(args.nbits)
+    target = hdr.decode_nbits(args.nbits)
     clamp = None if args.clamp == 0 else args.clamp
     steps = []  # the whole walk first, so a bad step fails before anything prints
     for span in map(_parse_int, args.spans.split(",")):
@@ -353,6 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_format(p, choices=("kv", "csv")):
         p.add_argument("--format", choices=choices, default=choices[0])
+
+    def add_set(p):
+        p.add_argument("--set", default="full",
+                       help="improvement flags to measure: none, full or a list such as 1,2,3")
 
     def add_chunk(p):
         p.add_argument("--chunk", type=_positive_int, default=_PickedChunk(kern.DEFAULT_CHUNK),
@@ -381,14 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="an improvement set's throughput versus the naive pipeline")
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
-    p.add_argument("--set", default="full", help="improvement flags to measure, e.g. 1,2,3 or full")
+    add_set(p)
     add_chunk(p)
     add_format(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("reward", help="block subsidy at a height")
     p.add_argument("height", type=_parse_int)
-    p.add_argument("--schedule", choices=("original", "proposed", "both"), default="both")
     add_format(p)
     p.set_defaults(func=cmd_reward)
 
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("adders", help="gate-model cost report for an improvement set")
-    p.add_argument("--set", default="full")
+    add_set(p)
     add_format(p)
     p.set_defaults(func=cmd_adders)
 
@@ -418,9 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("retarget-sim", help="difficulty retarget walk-through")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--nbits", type=_nbits_hex, help="8-char compact target hex start")
-    g.add_argument("--target", type=_target_hex, help="target hex start")
+    p.add_argument("--nbits", type=_nbits_hex, required=True,
+                   help="8-char compact target hex start")
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
     p.add_argument("--expected", type=_parse_int, default=2016 * 600)
     p.add_argument("--clamp", type=_parse_int, default=4, help="0 disables clamping")

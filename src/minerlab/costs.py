@@ -74,13 +74,11 @@ class ImprovementSet:
     @classmethod
     def parse(cls, text: str) -> "ImprovementSet":
         text = text.strip().lower()
-        if text in ("none", ""):
+        if text == "none":
             return cls.none()
-        if text in ("full", "all"):
+        if text == "full":
             return cls.full()
-        return cls(frozenset(part.strip().upper() if part.strip().lower().startswith("x")
-                             else part.strip()
-                             for part in text.split(",") if part.strip()))
+        return cls(frozenset(part.strip().upper() for part in text.split(",")))
 
     def __contains__(self, flag: str) -> bool:
         return flag in self.flags

@@ -49,15 +49,15 @@ MAX_SUPPLY_HEIGHT = 100_000_000  # the exact supply's denominator has 2.75 M bit
 ScheduleKind = Literal["original", "proposed"]
 
 # Heights of the published old-versus-new comparison table, and the new
-# schedule's BTC values it printed. The 420,336 entry is known to disagree
-# with the exact formula value (printed 24.97; the formula gives
+# schedule's values it printed, in satoshis. The 420,336 entry is known to
+# disagree with the exact formula value (printed 24.97 BTC; the formula gives
 # 25 * 624/625 = 24.96).
 TABLE_HEIGHTS = (105_000, 210_000, 420_000, 420_336, 525_000, 630_000, 840_000, 1_050_000)
-PUBLISHED_NEW_BTC = {
-    105_000: Fraction("50.0"), 210_000: Fraction("25.0"),
-    420_000: Fraction("25.0"), 420_336: Fraction("24.97"),
-    525_000: Fraction("15.16"), 630_000: Fraction("9.18"),
-    840_000: Fraction("3.378"), 1_050_000: Fraction("1.2417"),
+PUBLISHED_NEW_SATOSHIS = {
+    105_000: 5_000_000_000, 210_000: 2_500_000_000,
+    420_000: 2_500_000_000, 420_336: 2_497_000_000,
+    525_000: 1_516_000_000, 630_000: 918_000_000,
+    840_000: 337_800_000, 1_050_000: 124_170_000,
 }
 
 
@@ -138,9 +138,7 @@ def _smooth_table() -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SupplyReport:
-    height: int
     cumulative_satoshis: int
-    cap_delta_satoshis: int  # satoshis still unissued versus the 21M cap
     exact_btc: Fraction  # pre-rounding accumulator
 
 
@@ -185,29 +183,19 @@ def _cumulative_proposed_exact(t: int) -> Fraction:
 def cumulative_supply(t: int, kind: ScheduleKind) -> SupplyReport:
     """Total issuance from the per-block subsidies of heights 0 .. t-1."""
     _check_height(t)
-    if t > MAX_SUPPLY_HEIGHT:
-        raise ValueError(f"height beyond supported range ({MAX_SUPPLY_HEIGHT})")
     if kind == "original":
-        sat = _cumulative_original_satoshis(t)
-        exact = _cumulative_original_exact(t)
-    elif kind == "proposed":
-        sat = _cumulative_proposed_satoshis(t)
-        exact = _cumulative_proposed_exact(t)
-    else:
-        raise ValueError(f"unknown schedule {kind!r}")
-    return SupplyReport(
-        height=t,
-        cumulative_satoshis=sat,
-        cap_delta_satoshis=CAP_SATOSHIS - sat,
-        exact_btc=exact,
-    )
+        return SupplyReport(_cumulative_original_satoshis(t), _cumulative_original_exact(t))
+    if kind == "proposed":
+        if t > MAX_SUPPLY_HEIGHT:
+            raise ValueError(f"height beyond supported range ({MAX_SUPPLY_HEIGHT})")
+        return SupplyReport(_cumulative_proposed_satoshis(t), _cumulative_proposed_exact(t))
+    raise ValueError(f"unknown schedule {kind!r}")
 
 
 @dataclass(frozen=True)
 class EmissionTotal:
     closed_form_btc: Fraction
     iterated_satoshis: int
-    iterated_delta_satoshis: int  # iterated total minus the 21M cap
 
 
 def total_emission(kind: ScheduleKind) -> EmissionTotal:
@@ -227,11 +215,7 @@ def total_emission(kind: ScheduleKind) -> EmissionTotal:
                     + SMOOTH_PERIOD * _smooth_table()[1][-1])
     else:
         raise ValueError(f"unknown schedule {kind!r}")
-    return EmissionTotal(
-        closed_form_btc=closed,
-        iterated_satoshis=iterated,
-        iterated_delta_satoshis=iterated - CAP_SATOSHIS,
-    )
+    return EmissionTotal(closed_form_btc=closed, iterated_satoshis=iterated)
 
 
 @dataclass(frozen=True)
@@ -239,14 +223,6 @@ class TableRow:
     height: int
     old_satoshis: int
     new_satoshis: int
-
-    @property
-    def old_btc(self) -> Fraction:
-        return Fraction(self.old_satoshis, SATOSHI_PER_BTC)
-
-    @property
-    def new_btc(self) -> Fraction:
-        return Fraction(self.new_satoshis, SATOSHI_PER_BTC)
 
 
 def schedule_table(heights: Sequence[int] | None = None) -> list[TableRow]:

@@ -252,14 +252,15 @@ def test_criterion_07_supply_caps():
     assert Fraction(1) / (1 - Fraction(624, 625)) == 625
     assert Fraction(15_750_000) + 336 * 25 * 625 == 21_000_000
 
-    delta_btc = Fraction(proposed.iterated_delta_satoshis, 10**8)
+    delta_satoshis = proposed.iterated_satoshis - rw.CAP_SATOSHIS
+    delta_btc = Fraction(delta_satoshis, 10**8)
     assert abs(delta_btc) <= Fraction(5, 100)
     elapsed = time.perf_counter() - started
     assert elapsed < 30
     _pass(
         7,
         f"both closed forms exactly 21,000,000 BTC; proposed iterated drift "
-        f"{proposed.iterated_delta_satoshis} satoshis ({float(delta_btc):+.6f} BTC), "
+        f"{delta_satoshis} satoshis ({float(delta_btc):+.6f} BTC), "
         f"{elapsed:.1f}s",
     )
 
@@ -277,9 +278,9 @@ def test_criterion_08_published_table_reproduction():
 
     exact_420336 = Fraction(rw.reward_proposed(420_336), 10**8)
     assert exact_420336 == Fraction("24.96")  # 25 * 624/625 exactly
-    flagged = rw.PUBLISHED_NEW_BTC[420_336]
-    assert flagged == Fraction("24.97")
-    assert flagged != exact_420336  # documented discrepancy, not asserted
+    flagged = rw.PUBLISHED_NEW_SATOSHIS[420_336]
+    assert flagged == 2_497_000_000
+    assert Fraction(flagged, 10**8) != exact_420336  # documented discrepancy, not asserted
     _pass(
         8,
         "proposed rewards within 0.01 BTC of the published grid; 420336 is "

@@ -21,6 +21,12 @@ class TestImprovementSet:
         assert ImprovementSet.parse("1,2,3") == ImprovementSet.of("1", "2", "3")
         assert ImprovementSet.parse("x,x2,1") == ImprovementSet.of("X", "X2", "1")
 
+    @pytest.mark.parametrize("text", ["all", "", "1,,2"])
+    def test_parse_takes_one_spelling(self, text):
+        # none, full or flag names; no alias and no empty part
+        with pytest.raises(ValueError):
+            ImprovementSet.parse(text)
+
     def test_dependency_4_requires_3(self):
         with pytest.raises(ValueError, match="requires"):
             ImprovementSet.of("4")

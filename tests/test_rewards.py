@@ -112,7 +112,7 @@ class TestSupply:
             rep = rw.cumulative_supply(420_000, kind)
             assert rep.exact_btc == 15_750_000
             assert rep.cumulative_satoshis == 15_750_000 * 10**8
-            assert rep.cap_delta_satoshis == 5_250_000 * 10**8
+            assert rw.CAP_SATOSHIS - rep.cumulative_satoshis == 5_250_000 * 10**8
 
     def test_matches_blockwise_sum(self):
         # closed-form accumulators agree with literal per-block summation
@@ -133,7 +133,7 @@ class TestSupply:
         for kind in ("original", "proposed"):
             rep = rw.cumulative_supply(50_000_000, kind)
             assert rep.cumulative_satoshis <= rw.CAP_SATOSHIS
-            assert rep.cap_delta_satoshis >= 0
+            assert rw.CAP_SATOSHIS - rep.cumulative_satoshis >= 0
 
     def test_exact_matches_per_period_sum(self):
         # the closed form against the series summed one period at a time
@@ -194,12 +194,12 @@ class TestTotals:
 
     def test_proposed_iterated_drift_small(self):
         te = rw.total_emission("proposed")
-        assert abs(te.iterated_delta_satoshis) <= Fraction(5, 100) * 10**8
+        assert abs(te.iterated_satoshis - rw.CAP_SATOSHIS) <= Fraction(5, 100) * 10**8
 
     def test_original_iterated_known_deficit(self):
         te = rw.total_emission("original")
         assert te.iterated_satoshis == 2_099_999_997_690_000
-        assert te.iterated_delta_satoshis == -2_310_000
+        assert te.iterated_satoshis - rw.CAP_SATOSHIS == -2_310_000
 
     def test_iterated_matches_deep_cumulative(self):
         deep = (len(rw._smooth_table()[0]) + rw.SMOOTH_START_PERIOD + 10) * 336
@@ -216,13 +216,13 @@ class TestTable:
 
     def test_agreement_rows(self):
         rows = {r.height: r for r in rw.schedule_table()}
-        assert rows[210_000].old_btc == rows[210_000].new_btc == 25
-        assert rows[105_000].old_btc == 50
+        assert rows[210_000].old_satoshis == rows[210_000].new_satoshis == 25 * 10**8
+        assert rows[105_000].old_satoshis == 50 * 10**8
 
     def test_divergence_at_420k(self):
         rows = {r.height: r for r in rw.schedule_table()}
-        assert rows[420_000].old_btc == Fraction("12.5")
-        assert rows[420_000].new_btc == 25
+        assert rows[420_000].old_satoshis == 1_250_000_000
+        assert rows[420_000].new_satoshis == 25 * 10**8
 
     def test_crossover_exists_and_is_reported(self):
         h = rw.first_lower_height()
@@ -234,7 +234,7 @@ class TestTable:
     def test_custom_heights(self):
         rows = rw.schedule_table([0, 630_000])
         assert rows[0].old_satoshis == 50 * 10**8
-        assert rows[1].old_btc == Fraction("6.25")
+        assert Fraction(rows[1].old_satoshis, rw.SATOSHI_PER_BTC) == Fraction("6.25")
 
 
 class TestRetarget:

@@ -52,7 +52,7 @@ def _emit(pairs, fmt: str) -> None:
 
 
 def _btc_str(satoshis: int) -> str:
-    return f"{satoshis / 10**8:.8f}"
+    return f"{satoshis / rw.SATOSHI_PER_BTC:.8f}"
 
 
 def _parse_int(text: str) -> int:
@@ -276,8 +276,8 @@ def cmd_table(args) -> int:
         if published is None:
             pub_s, delta_s = "-", "-"
         else:
-            pub_s = f"{published / 10**8:.4f}"
-            delta_s = f"{(r.new_satoshis - published) / 10**8:+.4f}"
+            pub_s = f"{published / rw.SATOSHI_PER_BTC:.4f}"
+            delta_s = f"{(r.new_satoshis - published) / rw.SATOSHI_PER_BTC:+.4f}"
         print(
             f"{r.height:>9}  {_btc_str(r.old_satoshis):>12}  {_btc_str(r.new_satoshis):>12}"
             f"  {pub_s:>9}  {delta_s:>9}"

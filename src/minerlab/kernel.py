@@ -88,7 +88,6 @@ from . import sha256 as sha
 from .costs import ImprovementSet
 from .header import meets_target
 
-MASK32 = 0xFFFFFFFF
 # Lanes per numpy call when the caller gives no chunk.  One thread: the 29
 # lane buffers of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
 # lanes past its winner.  Several threads: 2^14 calls make the threads convoy
@@ -321,7 +320,7 @@ def _kw_table(words, fold_flags, s: ImprovementSet) -> list:
     """Per round, the folded K_t + W_t as a lane operand where ``s`` holds
     the round's flag in ``fold_flags``, else None: the round adds W and K
     separately.  ``words[t]`` is round t's constant message word."""
-    return [_u32((sha.K[t] + words[t]) & MASK32) if fold_flags.get(t) in s else None
+    return [_u32((sha.K[t] + words[t]) & sha.MASK32) if fold_flags.get(t) in s else None
             for t in range(64)]
 
 
@@ -482,7 +481,7 @@ def scan(
     winner.  Counters cover the nonces each span actually consumed.
     """
     for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
-        if not 0 <= v <= MASK32:
+        if not 0 <= v <= sha.MASK32:
             raise ValueError(f"{name} out of 32-bit range")
     if threads < 1:
         raise ValueError("threads must be positive")

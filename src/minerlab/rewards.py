@@ -18,8 +18,11 @@ in closed form:
   with both the retarget and halving cycles (210000 = 336 * 625), and the
   same series argument gives 15.75e6 + 336 * 25 * 625 = 21,000,000.
 
-Rounded smooth subsidies come from one table built on first use; exact
-supplies are closed forms. Floats appear only in display helpers.
+Each schedule is one table of equal periods built on first use: 33 eras of
+210,000 blocks, or 1,250 + 13,947 periods of 336 blocks, each period's
+rounded subsidy and the prefix sums of them. Rounded rewards, supplies and
+all-time totals are lookups in it; exact supplies are closed forms. Floats
+appear only in display helpers.
 """
 
 from __future__ import annotations
@@ -68,9 +71,8 @@ def _check_height(t: int) -> None:
 
 def reward_original(t: int) -> int:
     """Subsidy at height ``t`` under the halving rule, in satoshis: the
-    deployed integer right shift, zero from period 33 on."""
-    _check_height(t)
-    return INITIAL_REWARD_SATOSHIS >> t // HALVING_INTERVAL
+    deployed right shift ``50e8 >> f`` of era f, zero from era 33 on."""
+    return _lookup(t, "original")[0]
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -89,17 +91,10 @@ def smooth_reward_exact(t: int) -> Fraction:
 
 
 def reward_proposed(t: int) -> int:
-    """Proposed subsidy at height ``t`` in satoshis, rounded half-up.
-
-    From 420,000 on it is read from the period table: constant within
-    each 336-block window, it changes only at multiples of 336.
-    """
-    _check_height(t)
-    if t < SMOOTH_START_HEIGHT:
-        return SMOOTH_BASE_SATOSHIS if t >= HALVING_INTERVAL else INITIAL_REWARD_SATOSHIS
-    rewards, _ = _smooth_table()
-    j = t // SMOOTH_PERIOD - SMOOTH_START_PERIOD
-    return rewards[j] if j < len(rewards) else 0
+    """Proposed subsidy at height ``t`` in satoshis, rounded half-up:
+    constant within each 336-block period, it changes only at multiples
+    of 336."""
+    return _lookup(t, "proposed")[0]
 
 
 # Rounded per-period satoshi values via 128-bit fixed point. The scaled
@@ -129,29 +124,38 @@ def _smooth_period_satoshis() -> Iterator[int]:
 
 
 @functools.cache
-def _smooth_table() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rounded subsidies of the smooth periods before the first zero one (so
-    the zero period is its length) and prefix sums ``before[j]`` of 0 .. j-1."""
-    rewards = tuple(_smooth_period_satoshis())
-    return rewards, tuple(itertools.accumulate(rewards, initial=0))
+def _periods(kind: ScheduleKind) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The schedule as equal periods: their length, the rounded subsidy of
+    each period before the first zero one (so the zero period is its
+    length) and prefix sums ``before[j]`` of periods 0 .. j-1."""
+    if kind == "original":
+        period = HALVING_INTERVAL
+        rewards = tuple(INITIAL_REWARD_SATOSHIS >> f for f in range(LAST_NONZERO_HALVING + 1))
+    elif kind == "proposed":
+        period = SMOOTH_PERIOD
+        per_era = HALVING_INTERVAL // SMOOTH_PERIOD  # 625
+        rewards = ((INITIAL_REWARD_SATOSHIS,) * per_era + (SMOOTH_BASE_SATOSHIS,) * per_era
+                   + tuple(_smooth_period_satoshis()))
+    else:
+        raise ValueError(f"unknown schedule {kind!r}")
+    return period, rewards, tuple(itertools.accumulate(rewards, initial=0))
+
+
+def _lookup(t: int, kind: ScheduleKind) -> tuple[int, int]:
+    """The rounded subsidy at height ``t`` and the rounded issuance of
+    heights 0 .. t-1: whole periods from the prefix sums, then the partial
+    period at its subsidy."""
+    _check_height(t)
+    period, rewards, before = _periods(kind)
+    j = min(t // period, len(rewards))
+    reward = rewards[j] if j < len(rewards) else 0
+    return reward, period * before[j] + (t - j * period) * reward
 
 
 @dataclass(frozen=True)
 class SupplyReport:
     cumulative_satoshis: int
     exact_btc: Fraction  # pre-rounding accumulator
-
-
-def _cumulative_original_satoshis(t: int) -> int:
-    total = 0
-    f = 0
-    remaining = t
-    while remaining > 0 and f < 64:
-        n = min(remaining, HALVING_INTERVAL)
-        total += n * (INITIAL_REWARD_SATOSHIS >> f)
-        remaining -= n
-        f += 1
-    return total
 
 
 def _cumulative_original_exact(t: int) -> Fraction:
@@ -162,18 +166,11 @@ def _cumulative_original_exact(t: int) -> Fraction:
     return CAP_BTC - Fraction(50 * (2 * HALVING_INTERVAL - partial), 1 << f)
 
 
-def _cumulative_proposed_satoshis(t: int) -> int:
-    if t <= SMOOTH_START_HEIGHT:
-        return _cumulative_original_satoshis(t)
-    _, before = _smooth_table()
-    j = min((t - SMOOTH_START_HEIGHT) // SMOOTH_PERIOD, len(before) - 1)
-    return (_cumulative_original_satoshis(SMOOTH_START_HEIGHT)
-            + SMOOTH_PERIOD * before[j] + t % SMOOTH_PERIOD * reward_proposed(t))
-
-
 def _cumulative_proposed_exact(t: int) -> Fraction:
     if t <= SMOOTH_START_HEIGHT:
         return _cumulative_original_exact(t)
+    if t > MAX_SUPPLY_HEIGHT:
+        raise ValueError(f"height beyond supported range ({MAX_SUPPLY_HEIGHT})")
     m, partial = divmod(t - SMOOTH_START_HEIGHT, SMOOTH_PERIOD)
     # 15.75e6 BTC before 420,000 and the series 336 * 25 / (1 - q) make the
     # cap; after m periods and ``partial`` blocks the series tail is unissued
@@ -182,14 +179,9 @@ def _cumulative_proposed_exact(t: int) -> Fraction:
 
 def cumulative_supply(t: int, kind: ScheduleKind) -> SupplyReport:
     """Total issuance from the per-block subsidies of heights 0 .. t-1."""
-    _check_height(t)
-    if kind == "original":
-        return SupplyReport(_cumulative_original_satoshis(t), _cumulative_original_exact(t))
-    if kind == "proposed":
-        if t > MAX_SUPPLY_HEIGHT:
-            raise ValueError(f"height beyond supported range ({MAX_SUPPLY_HEIGHT})")
-        return SupplyReport(_cumulative_proposed_satoshis(t), _cumulative_proposed_exact(t))
-    raise ValueError(f"unknown schedule {kind!r}")
+    _, satoshis = _lookup(t, kind)  # rejects a negative height or an unknown schedule
+    exact = _cumulative_original_exact if kind == "original" else _cumulative_proposed_exact
+    return SupplyReport(satoshis, exact(t))
 
 
 @dataclass(frozen=True)
@@ -205,17 +197,10 @@ def total_emission(kind: ScheduleKind) -> EmissionTotal:
     figure sums rounded satoshi rewards until they reach zero, exposing the
     accumulated rounding drift against the cap.
     """
-    if kind == "original":
-        closed = HALVING_INTERVAL * 50 * (1 / (1 - Fraction(1, 2)))
-        iterated = _cumulative_original_satoshis((LAST_NONZERO_HALVING + 1) * HALVING_INTERVAL)
-    elif kind == "proposed":
-        pre = HALVING_INTERVAL * 50 + HALVING_INTERVAL * 25
-        closed = pre + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY))
-        iterated = (_cumulative_original_satoshis(SMOOTH_START_HEIGHT)
-                    + SMOOTH_PERIOD * _smooth_table()[1][-1])
-    else:
-        raise ValueError(f"unknown schedule {kind!r}")
-    return EmissionTotal(closed_form_btc=closed, iterated_satoshis=iterated)
+    period, _, before = _periods(kind)  # rejects an unknown schedule
+    closed = (HALVING_INTERVAL * 50 * (1 / (1 - Fraction(1, 2))) if kind == "original"
+              else HALVING_INTERVAL * (50 + 25) + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY)))
+    return EmissionTotal(closed_form_btc=closed, iterated_satoshis=period * before[-1])
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,9 @@ class TestProposedReward:
             assert Fraction(got) > exact - Fraction(1, 2)
 
     def test_reward_hits_zero_and_stays_there(self):
-        zero_height = (len(rw._smooth_table()[0]) + rw.SMOOTH_START_PERIOD) * 336
+        period, rewards, _ = rw._periods("proposed")
+        zero_height = len(rewards) * period
+        assert zero_height == (13_947 + rw.SMOOTH_START_PERIOD) * 336
         assert rw.reward_proposed(zero_height) == 0
         assert rw.reward_proposed(zero_height - 1) > 0
         assert rw.reward_proposed(zero_height + 10_000_000) == 0
@@ -156,17 +158,69 @@ class TestSupply:
         with pytest.raises(ValueError):
             rw.cumulative_supply(rw.MAX_SUPPLY_HEIGHT + 1, "proposed")
 
+    def test_unknown_schedule(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            rw.cumulative_supply(1, "bogus")
+        with pytest.raises(ValueError, match="'bogus'"):
+            rw.total_emission("bogus")
+
+    def test_period_boundaries(self):
+        # expected values follow each schedule's rule one era or period at a
+        # time, never the module's prefix sums
+        supply = 0
+        for f in range(36):
+            reward = (50 * 10**8) >> f
+            for d in (-1, 0, 1):
+                t = f * 210_000 + d
+                if t < 0:
+                    continue
+                era_reward = reward if d >= 0 else (50 * 10**8) >> (f - 1)
+                want = supply + d * era_reward
+                assert rw.reward_original(t) == era_reward
+                assert rw.cumulative_supply(t, "original").cumulative_satoshis == want
+            supply += 210_000 * reward
+
+        def proposed_rewards():
+            # per-period subsidies: 625 at 50 BTC, 625 at 25 BTC, then 25 BTC
+            # times (624/625)^j rounded half-up from period 1250, until zero
+            yield from [50 * 10**8] * 625 + [25 * 10**8] * 625
+            num, den = 25 * 10**8, 1
+            while (sat := (2 * num + den) // (2 * den)) > 0:
+                yield sat
+                num, den = num * 624, den * 625
+            yield 0
+
+        supply_at = {}  # first height of each period -> supply and subsidy
+        supply = 0
+        for k, reward in enumerate(proposed_rewards()):
+            supply_at[k * 336] = supply, reward
+            supply += 336 * reward
+        zero = max(supply_at)
+        assert supply_at[zero][1] == 0 and zero == (1250 + 13_947) * 336
+        heights = (209_999, 210_000, 419_999, 420_000, 420_335, 420_336,
+                   zero - 336, zero, zero + 10**7)
+        for t in heights:
+            start = min(t, zero) // 336 * 336
+            done, reward = supply_at[start]
+            assert rw.reward_proposed(t) == reward
+            assert rw.cumulative_supply(t, "proposed").cumulative_satoshis == done + (t - start) * reward
+
 
 class TestSmoothTable:
     def test_entries_round_the_exact_series(self):
-        rewards, before = rw._smooth_table()
+        period, rewards, before = rw._periods("proposed")
+        assert period == 336
+        # 625 periods at 50 BTC and 625 at 25 BTC before the smooth ones
+        assert rewards[:rw.SMOOTH_START_PERIOD] == (50 * 10**8,) * 625 + (25 * 10**8,) * 625
+        smooth = rewards[rw.SMOOTH_START_PERIOD:]
         exact = Fraction(25 * 10**8)
-        for sat in rewards:
+        for sat in smooth:
             assert sat == rw._round_half_up(exact)
             exact *= rw.DECAY
         assert rw._round_half_up(exact) == 0  # the entry after the last
-        assert len(rewards) == 13_947
+        assert len(smooth) == 13_947
         assert len(before) == len(rewards) + 1 and before[-1] == sum(rewards)
+        assert before[rw.SMOOTH_START_PERIOD] * 336 == 15_750_000 * 10**8
 
 
 class TestTotals:
@@ -202,7 +256,7 @@ class TestTotals:
         assert te.iterated_satoshis - rw.CAP_SATOSHIS == -2_310_000
 
     def test_iterated_matches_deep_cumulative(self):
-        deep = (len(rw._smooth_table()[0]) + rw.SMOOTH_START_PERIOD + 10) * 336
+        deep = (len(rw._periods("proposed")[1]) + 10) * 336
         assert (
             rw.cumulative_supply(deep, "proposed").cumulative_satoshis
             == rw.total_emission("proposed").iterated_satoshis

@@ -304,9 +304,7 @@ def cmd_adders(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    fraction = args.fraction
-    if fraction is None:
-        fraction = float(costs.savings_fraction(costs.ImprovementSet.full()))
+    fraction = float(costs.savings_fraction(costs.ImprovementSet.full()))
     rep = costs.energy_savings(args.power_per_ghs, args.rate_ghs, args.price_per_kwh, fraction)
     _emit(
         [
@@ -323,11 +321,12 @@ def cmd_energy(args) -> int:
 
 def cmd_retarget_sim(args) -> int:
     target = hdr.decode_nbits(args.nbits)
-    clamp = None if args.clamp == 0 else args.clamp
     steps = []  # the whole walk first, so a bad step fails before anything prints
     for span in map(_parse_int, args.spans.split(",")):
-        target = rw.retarget(target, span, args.expected, clamp)
-        steps.append((span, target, hdr.encode_nbits(target), hdr.difficulty_of(target)))
+        # each step starts from the compact target the network stored
+        nbits = hdr.encode_nbits(rw.retarget(target, span))
+        target = hdr.decode_nbits(nbits)
+        steps.append((span, target, nbits, hdr.difficulty_of(target)))
     if args.format == "csv":
         print("step,span_s,target,nbits,difficulty")
     else:
@@ -411,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-per-ghs", type=_finite_float, required=True, help="watts per GH/s")
     p.add_argument("--rate-ghs", type=_finite_float, required=True, help="fleet rate in GH/s")
     p.add_argument("--price-per-kwh", type=_finite_float, required=True)
-    p.add_argument("--fraction", type=_finite_float, default=None,
-                   help="cost fraction saved (default: full improvement set)")
     add_format(p)
     p.set_defaults(func=cmd_energy)
 
@@ -420,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbits", type=_nbits_hex, required=True,
                    help="8-char compact target hex start")
     p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
-    p.add_argument("--expected", type=_parse_int, default=2016 * 600)
-    p.add_argument("--clamp", type=_parse_int, default=4, help="0 disables clamping")
     add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_retarget_sim)
 
@@ -435,8 +430,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader is gone: exit 1 quietly; the shutdown flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_NEGATIVE
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

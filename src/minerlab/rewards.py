@@ -47,6 +47,9 @@ SMOOTH_START_PERIOD = SMOOTH_START_HEIGHT // SMOOTH_PERIOD  # 1250
 SMOOTH_BASE_SATOSHIS = 25 * SATOSHI_PER_BTC
 DECAY = Fraction(624, 625)
 
+RETARGET_SPAN_SECONDS = 2016 * 600  # one window of 2016 blocks at 10 minutes
+RETARGET_CLAMP = 4  # a retarget moves the target by at most this factor
+
 MAX_SUPPLY_HEIGHT = 100_000_000  # the exact supply's denominator has 2.75 M bits here
 
 ScheduleKind = Literal["original", "proposed"]
@@ -234,24 +237,17 @@ def first_lower_height() -> int:
         k += 1
 
 
-def retarget(
-    old_target: int,
-    actual_span_seconds: int,
-    expected_span_seconds: int,
-    clamp: int | None = 4,
-) -> int:
-    """Difficulty retarget: scale the target by observed over expected time.
+def retarget(old_target: int, actual_span_seconds: int) -> int:
+    """The deployed difficulty retarget: scale the target by a window's
+    observed time over 2016 * 600 s, clamped to [old/4, old*4].
 
-    The result is clamped to [old/clamp, old*clamp] (pass ``clamp=None``
-    to disable) and saturated below 2^256.
-    """
+    No proof-of-work limit applies; the result saturates below 2^256. It is
+    not rounded: the network stores each new target as compact nbits, and
+    the next retarget starts from that."""
     if old_target <= 0 or old_target >= 1 << 256:
         raise ValueError("old target out of range")
-    if actual_span_seconds <= 0 or expected_span_seconds <= 0:
+    if actual_span_seconds <= 0:
         raise ValueError("spans must be positive")
-    if clamp is not None and clamp < 1:
-        raise ValueError("clamp factor must be at least 1")
-    new = old_target * actual_span_seconds // expected_span_seconds
-    if clamp is not None:
-        new = min(max(new, old_target // clamp), old_target * clamp)
+    new = old_target * actual_span_seconds // RETARGET_SPAN_SECONDS
+    new = min(max(new, old_target // RETARGET_CLAMP), old_target * RETARGET_CLAMP)
     return max(1, min(new, (1 << 256) - 1))

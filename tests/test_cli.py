@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import minerlab.cli as cli
 import minerlab.header as hdr
+import minerlab.rewards as rw
 import minerlab.sha256 as sha
 
 # A desk-scale work fixture: a version-2 header at nbits 1d00ffff, mined at
@@ -336,13 +338,6 @@ class TestReports:
         assert report["power_mw"] == "9.6000"
         assert report["mwh_per_day"] == "230.4000"
 
-    def test_energy_zero_fraction(self, capsys):
-        assert run_cli(
-            "energy", "--power-per-ghs", "3.2", "--rate-ghs", "3000000",
-            "--price-per-kwh", "0.1", "--fraction", "0",
-        ) == 0
-        assert kv(capsys)["savings_per_day"] == "0.00"
-
     def test_energy_bad_input(self):
         assert run_cli(
             "energy", "--power-per-ghs", "-1", "--rate-ghs", "1",
@@ -366,6 +361,29 @@ class TestReports:
             8 * float(first[4]), rel=1e-6
         )
 
+    def test_retarget_sim_steps_from_stored_nbits(self, capsys):
+        # 1000000 s scales 0xffff << 208 to a target compact form cannot hold;
+        # the network stores the rounded nbits and the next step starts there
+        assert run_cli(
+            "retarget-sim", "--nbits", "1d00ffff",
+            "--spans", "1000000,1000000,1300000", "--format", "csv",
+        ) == 0
+        out = capsys.readouterr().out
+        assert out == (
+            "step,span_s,target,nbits,difficulty\n"
+            f"0,1000000,00000000d3a3{'0' * 52},1d00d3a3,1.209620\n"
+            f"1,1000000,00000000aef6{'0' * 52},1d00aef6,1.463184\n"
+            f"2,1300000,00000000bc09{'0' * 52},1d00bc09,1.361448\n"
+        )
+        rows = list(csv.DictReader(io.StringIO(out)))
+        previous = 0x1D00FFFF
+        for row in rows:
+            expected = hdr.decode_nbits(
+                hdr.encode_nbits(rw.retarget(hdr.decode_nbits(previous), int(row["span_s"]))))
+            assert int(row["target"], 16) == expected
+            assert hdr.difficulty_of(expected) == pytest.approx(float(row["difficulty"]))
+            previous = int(row["nbits"], 16)
+
 class TestUsage:
     def test_no_subcommand_exits_2(self):
         assert run_cli() == 2
@@ -385,11 +403,36 @@ class TestUsage:
         assert proc.returncode == 0
         assert "312500000" in proc.stdout
 
+    def test_closed_stdout_before_a_short_report(self):
+        # the read end closes before the command starts: its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "minerlab", "reward", "5"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_closed_stdout_after_one_line(self):
+        # 10,001 lines of about 42 bytes overrun a 64 KB pipe buffer, so the
+        # command is still writing when the reader stops after one line
+        spans = ",".join(["1209600"] * 10_000)
+        with subprocess.Popen(
+            [sys.executable, "-m", "minerlab", "retarget-sim", "--nbits", "1d00ffff",
+             "--spans", spans],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            assert proc.stdout.readline().startswith("step")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == ""
+
 class TestInputChecks:
     @pytest.mark.parametrize("argv", [
         ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100,0"),
-        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--expected", "0"),
-        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "-1"),
+        ("table", "--heights", "5,-1"),
+        ("mine", *FIXTURE, "--nonce-end", "0x100000000"),
         ("energy", "--power-per-ghs", "1e308", "--rate-ghs", "1e308",
          "--price-per-kwh", "1e308"),
         # an empty range still meets the chunk bound
@@ -408,8 +451,7 @@ class TestInputChecks:
         assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("option", ["--power-per-ghs", "--rate-ghs",
-                                        "--price-per-kwh", "--fraction"])
+    @pytest.mark.parametrize("option", ["--power-per-ghs", "--rate-ghs", "--price-per-kwh"])
     def test_energy_rejects_non_finite(self, option, value):
         argv = {"--power-per-ghs": "3.2", "--rate-ghs": "3000000", "--price-per-kwh": "0.1"}
         argv[option] = value
@@ -463,6 +505,10 @@ class TestInputChecks:
         ("retarget-sim", "--target", "1", "--spans", "100"),
         ("adders", "--set", "all"),
         ("adders", "--set", ""),
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--expected", "1209600"),
+        ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "4"),
+        ("energy", "--power-per-ghs", "3.2", "--rate-ghs", "3000000", "--price-per-kwh", "0.1",
+         "--fraction", "0.5"),
     ])
     def test_removed_options_rejected(self, argv, capsys):
         assert run_cli(*argv) == 2
@@ -484,8 +530,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("argv, same_as", [
         (("table", "--heights", ""), None),
-        (("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "0x4"),
-         ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100", "--clamp", "4")),
+        (("retarget-sim", "--nbits", "1d00ffff", "--spans", "0x64"),
+         ("retarget-sim", "--nbits", "1d00ffff", "--spans", "100")),
     ])
     def test_integer_options_read_alike(self, argv, same_as, capsys):
         # an empty list is an error, not the default; 0x hex reads as its number
@@ -542,10 +588,9 @@ _COMMANDS = {
     "table": ((), ("--heights", "--format"), [()]),
     "adders": ((), ("--set", "--format"), [()]),
     "energy": (("--power-per-ghs", "3.2", "--rate-ghs", "1", "--price-per-kwh", "0.1"),
-               ("--power-per-ghs", "--rate-ghs", "--price-per-kwh", "--fraction",
-                "--format"), [()]),
+               ("--power-per-ghs", "--rate-ghs", "--price-per-kwh", "--format"), [()]),
     "retarget-sim": (("--nbits", "1d00ffff", "--spans", "100"),
-                     ("--nbits", "--spans", "--expected", "--clamp", "--format"), [()]),
+                     ("--nbits", "--spans", "--format"), [()]),
 }
 _TOKENS = st.one_of(
     st.sampled_from(["", "-", "+", "0x", "nan", "-inf", "1e308", "0.5", "1,2", "1d00ffff",
@@ -627,6 +672,17 @@ class TestDocs:
             except SystemExit:
                 unparsed.append(" ".join(argv))
         assert unparsed == []
+
+    def test_readme_shows_every_option(self):
+        # an option no example shows is one a reader cannot find
+        shown = {}
+        for argv in _readme_argvs():
+            shown.setdefault(argv[0], set()).update(a for a in argv[1:] if a.startswith("--"))
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        missing = [f"{name} {o}" for name, p in subparsers.items() for a in p._actions
+                   for o in a.option_strings
+                   if o not in ("-h", "--help", "--format") and o not in shown.get(name, ())]
+        assert missing == []
 
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_subcommand_help(self, command, capsys):

@@ -199,14 +199,12 @@ def cmd_bench(args) -> int:
     fast, slow = timed[0][0][0], timed[0][1][0]
     fast_s, slow_s = (sorted(r[i][1] for r in timed)[BENCH_ROUNDS // 2] for i in (0, 1))
 
-    predicted = costs.compression_equivalents(improvements)
     _emit(
         [
             ("count", args.count),
             ("threads", args.threads),
             ("chunk", chunk),
             ("improvements", str(improvements)),
-            ("predicted_compressions_per_nonce", f"{predicted} = {float(predicted):.6f}"),
             ("optimized_compressions_per_nonce", f"{fast.compressions_equivalent:.6f}"),
             ("optimized_nonces_per_s", f"{args.count / fast_s:.0f}"),
             ("optimized_stage1_survivors", fast.stage1_survivors),

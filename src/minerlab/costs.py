@@ -23,7 +23,8 @@ Ten independently toggleable optimizations are tracked:
   X2  carry-save adders inside the message schedule
 
 Flag 4 builds on the precomputed round-3 state, so it requires 3; flag 8
-steps W19 from a precomputed base, so it requires 7.
+steps W19 from a precomputed base, so it requires 7.  The fold savings of
+flags 5, 6 and 7 are the rounds :data:`FOLDED_ROUNDS` lists, one adder each.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ _ADDERS_PER_ROUND_PLAIN = 7
 _ADDERS_PER_ROUND_CSA = 2
 _ADDERS_PER_WORD_PLAIN = 3
 _ADDERS_PER_WORD_CSA = 1
-_CONSTANT_FOLD_SAVINGS = {"5": 18, "6": 2, "7": 2, "8": 1}
+# Per compression (2: the nonce-bearing one, 3: the second hash), the flag
+# under which each round with a constant message word adds one pre-folded
+# K_t + W_t: the zeros and the 0x80000000 marker under 5, the length word
+# under 6, and W16 and W17 once 7 precomputes them.
+FOLDED_ROUNDS = {
+    2: {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"},
+    3: {**dict.fromkeys(range(8, 15), "5"), 15: "6"},
+}
 
 
 @dataclass(frozen=True)
@@ -150,9 +158,9 @@ def adder_count(s: ImprovementSet) -> int:
         adders += 1
     adders += computed_schedule_words(s) * per_word
     adders += compressions * _FEEDFORWARD_ADDERS
-    for flag, saving in _CONSTANT_FOLD_SAVINGS.items():
-        if flag in s:
-            adders -= saving
+    adders -= sum(flag in s for folded in FOLDED_ROUNDS.values() for flag in folded.values())
+    if "8" in s:  # W19 is a precomputed base plus the nonce
+        adders -= 1
     return adders
 
 

@@ -68,9 +68,15 @@ compressions per nonce.  The rounds are counted from the rounds the lanes
 run: each compression returns how many it ran, and the chunk adds the
 incremental round 3 under flag 4.  Under flag 2 every filter survivor is
 a stage-1 survivor and adds rounds 61..63, or only round 61 when its word
-6 rejects it.  The subset tests check the count against the rounds per
-nonce of the cost model in :mod:`minerlab.costs`, which leaves round 3 out.
-Schedule work and feedforward additions are not counted separately.
+6 rejects it.  The model in :mod:`minerlab.costs` keeps the paper's
+accounting; the tests check the lanes against it over every lane set and
+name each departure.  Rounds: the lanes also count flag 4's round 3, so
+the full set runs 122/64 = 1.906250 compressions per nonce, not 121/64.
+Additions, counted only by the tests: the lanes add digest word 7 alone
+(-7), fill W16 and W17 and build W18 = base + sigma0(nonce) under flag 7
+(-8), build W19 = base + nonce under 8 (-1) and run two increments for
+flag 4's one adder (+1); 1,105 per nonce for the full set against the
+model's 1,120, and 1,793 against 1,800 with no flags.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sha256 as sha
-from .costs import ImprovementSet
+from .costs import FOLDED_ROUNDS, ImprovementSet
 from .header import meets_target
 
 # Lanes per numpy call when the caller gives no chunk.  One thread: the 29
@@ -103,10 +109,6 @@ WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 # The third compression's block with the 8 hash words zeroed: words 8..15
 # are the padding of a 32-byte message.
 _COMP3_BLOCK = sha.pad_message(bytes(32))[0]
-
-# The flag under which each constant-word round adds its folded K+W.
-_FOLD_FLAGS_COMP2 = {**dict.fromkeys(range(4, 15), "5"), 15: "6", 16: "7", 17: "7"}
-_FOLD_FLAGS_COMP3 = {**dict.fromkeys(range(8, 15), "5"), 15: "6"}
 
 
 def _u32(value: int) -> np.ndarray:
@@ -201,35 +203,21 @@ def _vrotr(x, n, out, tmp):
     np.bitwise_or(out, tmp, out)
 
 
-def _vbig_sigma0(x, out, t1, t2):
-    _vrotr(x, 2, out, t1)
-    _vrotr(x, 13, t1, t2)
-    np.bitwise_xor(out, t1, out)
-    _vrotr(x, 22, t1, t2)
-    np.bitwise_xor(out, t1, out)
+# Rotation amounts of Sigma0, Sigma1 (rounds) and sigma0, sigma1 (schedule);
+# a negative last amount is a plain right shift by its magnitude.
+_BIG_SIGMA0, _BIG_SIGMA1 = (2, 13, 22), (6, 11, 25)
+_LITTLE_SIGMA0, _LITTLE_SIGMA1 = (7, 18, -3), (17, 19, -10)
 
 
-def _vbig_sigma1(x, out, t1, t2):
-    _vrotr(x, 6, out, t1)
-    _vrotr(x, 11, t1, t2)
+def _vsigma(x, amounts, out, t1, t2):
+    a, b, c = amounts
+    _vrotr(x, a, out, t1)
+    _vrotr(x, b, t1, t2)
     np.bitwise_xor(out, t1, out)
-    _vrotr(x, 25, t1, t2)
-    np.bitwise_xor(out, t1, out)
-
-
-def _vlittle_sigma0(x, out, t1, t2):
-    _vrotr(x, 7, out, t1)
-    _vrotr(x, 18, t1, t2)
-    np.bitwise_xor(out, t1, out)
-    np.right_shift(x, _SHIFTS[3], t1)
-    np.bitwise_xor(out, t1, out)
-
-
-def _vlittle_sigma1(x, out, t1, t2):
-    _vrotr(x, 17, out, t1)
-    _vrotr(x, 19, t1, t2)
-    np.bitwise_xor(out, t1, out)
-    np.right_shift(x, _SHIFTS[10], t1)
+    if c < 0:
+        np.right_shift(x, _SHIFTS[-c], t1)
+    else:
+        _vrotr(x, c, t1, t2)
     np.bitwise_xor(out, t1, out)
 
 
@@ -258,7 +246,7 @@ class _Lanes:
         """One cipher round across all lanes; registers rotate by renaming."""
         a, b, c, d, e, f, g, h = self.regs
         t1, t2, ta, tb = self.t1, self.t2, self.ta, self.tb
-        _vbig_sigma1(e, t1, ta, tb)
+        _vsigma(e, _BIG_SIGMA1, t1, ta, tb)
         np.bitwise_xor(f, g, ta)  # Ch = g ^ (e & (f ^ g))
         np.bitwise_and(ta, e, ta)
         np.bitwise_xor(ta, g, ta)
@@ -269,7 +257,7 @@ class _Lanes:
         else:
             np.add(t1, w_vec, t1)
             np.add(t1, k, t1)
-        _vbig_sigma0(a, t2, ta, tb)
+        _vsigma(a, _BIG_SIGMA0, t2, ta, tb)
         np.bitwise_or(a, b, ta)  # Maj = (a & b) | (c & (a | b))
         np.bitwise_and(ta, c, ta)
         np.bitwise_and(a, b, tb)
@@ -284,9 +272,9 @@ class _Lanes:
         written over the ring slot holding w[t-16].  The sigmas take their
         scratch from t1 and t2, which :meth:`round` writes before it reads."""
         ring, ta, tb, t1, t2 = self.ring, self.ta, self.tb, self.t1, self.t2
-        _vlittle_sigma1(ring[(t - 2) & 15], ta, t1, t2)
+        _vsigma(ring[(t - 2) & 15], _LITTLE_SIGMA1, ta, t1, t2)
         np.add(ta, ring[(t - 7) & 15], ta)
-        _vlittle_sigma0(ring[(t - 15) & 15], tb, t1, t2)
+        _vsigma(ring[(t - 15) & 15], _LITTLE_SIGMA0, tb, t1, t2)
         np.add(ta, tb, ta)
         np.add(ta, ring[t & 15], ring[t & 15])
 
@@ -316,11 +304,11 @@ class _Lanes:
             np.add(reg, add, dst)
 
 
-def _kw_table(words, fold_flags, s: ImprovementSet) -> list:
+def _kw_table(words, folded, s: ImprovementSet) -> list:
     """Per round, the folded K_t + W_t as a lane operand where ``s`` holds
-    the round's flag in ``fold_flags``, else None: the round adds W and K
-    separately.  ``words[t]`` is round t's constant message word."""
-    return [_u32((sha.K[t] + words[t]) & sha.MASK32) if fold_flags.get(t) in s else None
+    the round's flag in ``folded``, a ``FOLDED_ROUNDS`` entry, else None: the
+    round adds W and K separately.  ``words[t]`` is round t's message word."""
+    return [_u32((sha.K[t] + words[t]) & sha.MASK32) if folded.get(t) in s else None
             for t in range(64)]
 
 
@@ -369,7 +357,7 @@ def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw) -> int:
     if "7" in s:
 
         def w18(out):
-            _vlittle_sigma0(n, out, lanes.t1, lanes.t2)
+            _vsigma(n, _LITTLE_SIGMA0, out, lanes.t1, lanes.t2)
             np.add(out, sched0[18], out)
 
         fixed_words[16] = lambda out: out.fill(sched0[16])
@@ -409,8 +397,8 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> ScanResult:
     top_limb = np.uint32(work.target >> 224)
     stage2_active = work.target < WORD6_TARGET_BOUND
     kw = (_kw_table((), {}, s),  # the first compression folds nothing
-          _kw_table(work.sched0, _FOLD_FLAGS_COMP2, s),
-          _kw_table(_COMP3_BLOCK, _FOLD_FLAGS_COMP3, s))
+          _kw_table(work.sched0, FOLDED_ROUNDS[2], s),
+          _kw_table(_COMP3_BLOCK, FOLDED_ROUNDS[3], s))
     pos = lo
     while pos <= hi and res.found is None and not should_abort():
         m = min(chunk, hi - pos + 1)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import random
@@ -5,6 +6,7 @@ import struct
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,8 +115,8 @@ class TestPrepareWork:
 
     @staticmethod
     def _full_tables(work):
-        return (kern._kw_table(work.sched0, kern._FOLD_FLAGS_COMP2, FULL),
-                kern._kw_table(kern._COMP3_BLOCK, kern._FOLD_FLAGS_COMP3, FULL))
+        return (kern._kw_table(work.sched0, costs.FOLDED_ROUNDS[2], FULL),
+                kern._kw_table(kern._COMP3_BLOCK, costs.FOLDED_ROUNDS[3], FULL))
 
     def test_fold_table_covers_constant_rounds(self):
         base = random.Random(SEED + 5).randbytes(80)
@@ -649,3 +651,59 @@ class TestImprovementSubsets:
             assert res.compressions_equivalent == float(
                 costs.compression_equivalents(s) + Fraction(incremental, 64)
             ), str(s)
+
+class _UfuncCounter:
+    """Stands in for numpy in :mod:`minerlab.kernel` and counts each ufunc
+    call by name; everything else passes through."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+def _count_chunk(monkeypatch, s, lanes: int = 1):
+    """The ufunc calls and the scan result of one ``lanes``-wide chunk of
+    set ``s`` at an unreachable target."""
+    work = kern.prepare_header_work(random.Random(SEED + 36).randbytes(80), 1)
+    counter = _UfuncCounter()
+    with monkeypatch.context() as m:
+        m.setattr(kern, "np", counter)
+        res = kern.scan(work, 0, lanes - 1, improvements=s, chunk=lanes)
+    assert res.found is None and res.nonces_tried == lanes
+    return counter.calls, res
+
+def _lane_adder_departures(s) -> int:
+    """Where the lanes' additions per nonce depart from ``costs.adder_count``."""
+    return (-7  # the final feedforward: the lanes add digest word 7 only
+            - 8 * ("7" in s)  # W16 and W17 are filled, W18 is base + sigma0(nonce)
+            - 1 * ("8" in s)  # W19 is base + nonce
+            + 1 * ("4" in s))  # two increments; the model charges one adder
+
+class TestCostConvention:
+    """The lanes against the paper's cost model: the same rounds and
+    additions but for the departures named here."""
+
+    def test_lane_additions_match_model(self, monkeypatch):
+        for s in LANE_SETS:
+            calls, res = _count_chunk(monkeypatch, s)
+            adds = calls["add"] - 1  # less the nonce fill
+            assert adds == costs.adder_count(s) + _lane_adder_departures(s), str(s)
+            round3 = 1 if "4" in s else 0
+            assert res.rounds_executed == costs.executed_rounds(s) + round3, str(s)
+        assert _count_chunk(monkeypatch, FULL)[0]["add"] - 1 == 1105
+        assert _count_chunk(monkeypatch, costs.ImprovementSet.none())[0]["add"] - 1 == 1793
+
+    @pytest.mark.parametrize("lanes", [1, 4096])
+    def test_ufunc_calls_per_chunk(self, monkeypatch, lanes):
+        # with the nonce fill and the word-7 add; the baseline of the fold floor
+        for s, want in ((FULL, 6226), (costs.ImprovementSet.none(), 9954)):
+            assert sum(_count_chunk(monkeypatch, s, lanes)[0].values()) == want, str(s)

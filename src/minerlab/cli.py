@@ -96,10 +96,14 @@ def _is_hex(text: str) -> bool:
 
 
 def _target_hex(text: str) -> int:
-    """A nonzero target of at most 64 hex digits, without prefix or sign."""
+    """A nonzero target of at most 64 hex digits, without prefix or sign;
+    all 64 if it starts with 0, since ``00ff`` could be 0xff or 0x00ff00..00."""
     if not _is_hex(text) or len(text) > 64 or int(text, 16) == 0:
         raise argparse.ArgumentTypeError(
             f"target must be a nonzero hex number of at most 64 digits, got {text!r}")
+    if text[0] == "0" and len(text) < 64:
+        raise argparse.ArgumentTypeError(
+            f"a target with a leading zero needs all 64 digits, got {len(text)}: {text!r}")
     return int(text, 16)
 
 

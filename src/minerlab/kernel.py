@@ -55,11 +55,12 @@ given, and which set suits which target is the caller's choice (``mine
 
 The per-nonce arithmetic is vectorized over chunks of nonces as numpy
 uint32 lanes.  At these widths numpy's per-call dispatch outweighs the
-arithmetic (a chunk of the full set makes 6,226 ufunc calls; 64 lanes take
-2.5-6 ms on a 2-vCPU x86-64 VM), so every operand in the round and schedule
-loops is an array: numpy converts a Python int operand on every call, about
-0.5 us of a 1.2 us call.  Ch is g ^ (e & (f ^ g)) and Maj (a & b) | (c & (a | b)), 3 and 4
-calls where the textbook forms take 4 and 5.
+arithmetic (a chunk makes thousands of ufunc calls; 64 lanes of the full
+set take 2.5-6 ms on a 2-vCPU x86-64 VM), so every operand in the round
+and schedule loops is an array: numpy converts a Python int operand on
+every call, about 0.5 us of a 1.2 us call.  Ch is g ^ (e & (f ^ g)) and
+Maj (a & b) | (c & (a | b)), 3 and 4 calls where the textbook forms take
+4 and 5.
 
 Cost instrumentation counts block-cipher rounds; one :class:`ScanResult`
 per scanning thread holds them, and :func:`scan` returns the sum, whose
@@ -69,19 +70,14 @@ run: each compression returns how many it ran, and the chunk adds the
 incremental round 3 under flag 4.  Under flag 2 every filter survivor is
 a stage-1 survivor and adds rounds 61..63, or only round 61 when its word
 6 rejects it.  The model in :mod:`minerlab.costs` keeps the paper's
-accounting; the tests check the lanes against it over every lane set and
-name each departure.  Rounds: the lanes also count flag 4's round 3, so
-the full set runs 122/64 = 1.906250 compressions per nonce, not 121/64.
-Additions, counted only by the tests: the lanes add digest word 7 alone
-(-7), fill W16 and W17 and build W18 = base + sigma0(nonce) under flag 7
-(-8), build W19 = base + nonce under 8 (-1) and run two increments for
-flag 4's one adder (+1); 1,105 per nonce for the full set against the
-model's 1,120, and 1,793 against 1,800 with no flags.
+accounting.  The lanes' rounds and additions depart from it in four
+places, named once in ``tests/test_kernel.py::TestCostConvention``, which
+checks them over every lane set and pins the ufunc calls per chunk;
+README's "Performance notes" tables them.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import struct
 import threading
@@ -94,14 +90,14 @@ from . import sha256 as sha
 from .costs import FOLDED_ROUNDS, ImprovementSet
 from .header import meets_target
 
-# Lanes per numpy call when the caller gives no chunk.  One thread: the 29
-# lane buffers of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
+# Lanes per numpy call when the caller gives no chunk.  One thread: the 30
+# bank rows of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
 # lanes past its winner.  Several threads: 2^14 calls make the threads convoy
 # on the GIL, so they keep 2^16.
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
 # The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
-# measures: 4 MiB for each of a thread's 29 lane buffers (37 without flag 1).
+# measures: 4 MiB for each of a thread's 30 bank rows (38 without flag 1).
 MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
@@ -221,26 +217,36 @@ def _vsigma(x, amounts, out, t1, t2):
     np.bitwise_xor(out, t1, out)
 
 
+def _kw_table(words, folded, s: ImprovementSet) -> list:
+    """Per round, the folded K_t + W_t as a lane operand where ``s`` holds
+    the round's flag in ``folded``, a ``FOLDED_ROUNDS`` entry, else None: the
+    round adds W and K separately.  ``words[t]`` is round t's message word."""
+    return [_u32((sha.K[t] + words[t]) & sha.MASK32) if folded.get(t) in s else None
+            for t in range(64)]
+
+
 class _Lanes:
-    """Preallocated uint32 lane buffers for one scanning thread, and the
-    in-place pipeline steps that run over them."""
+    """One scanning thread's pipeline of set ``s`` over one work item.
 
-    def __init__(self, width: int, recompute_midstate: bool = False):
-        mk = lambda: np.zeros(width, dtype=np.uint32)
-        self.regs = [mk() for _ in range(8)]
-        self.ring = [mk() for _ in range(16)]
-        # per-lane midstates, allocated only for pipelines without flag 1
-        self.mids = [mk() for _ in range(8)] if recompute_midstate else []
-        self.t1, self.t2 = mk(), mk()
-        self.ta, self.tb = mk(), mk()
-        self.nonces = mk()
+    Every lane buffer is a row of one uint32 bank: 8 registers, 16
+    schedule-ring words, 4 scratch rows, the nonces and the lane offsets,
+    and without flag 1 the 8 per-lane midstates.  Given ``bank``, the lanes
+    run on its first ``width`` columns and allocate nothing."""
 
-    def view(self, m: int) -> "_Lanes":
-        """The first ``m`` lanes of every buffer, sharing their memory."""
-        lanes = copy.copy(self)
-        for name, buf in vars(self).items():
-            setattr(lanes, name, [a[:m] for a in buf] if isinstance(buf, list) else buf[:m])
-        return lanes
+    def __init__(self, work: PreparedWork, s: ImprovementSet, width: int, bank=None):
+        if bank is None:
+            bank = np.zeros((30 if "1" in s else 38, width), dtype=np.uint32)
+        self.bank = bank[:, :width]
+        rows = list(self.bank)
+        self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
+        self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
+        self.offsets[:] = np.arange(width)
+        self.work, self.s = work, s
+        self.kw2 = _kw_table(work.sched0, FOLDED_ROUNDS[2], s)
+        self.kw3 = _kw_table(_COMP3_BLOCK, FOLDED_ROUNDS[3], s)
+        # second-compression words 16..19 built from their nonce-0 bases
+        self.fixed = {t for t, flag in ((16, "7"), (17, "7"), (18, "7"), (19, "8")) if flag in s}
+        self.top_limb = np.uint32(work.target >> 224)
 
     def round(self, kw, w_vec, k):
         """One cipher round across all lanes; registers rotate by renaming."""
@@ -278,24 +284,35 @@ class _Lanes:
         np.add(ta, tb, ta)
         np.add(ta, ring[t & 15], ring[t & 15])
 
+    def fixed_word(self, t, out):
+        """Second-compression word ``t`` from its nonce-0 base: W16 and W17
+        are the bases (flag 7), W18 adds sigma0 of the nonce (flag 7) and
+        W19 the nonce (flag 8)."""
+        base = self.work.sched0[t]
+        if t == 18:
+            _vsigma(self.nonces, _LITTLE_SIGMA0, out, self.t1, self.t2)
+            np.add(out, base, out)
+        elif t == 19:
+            np.add(self.nonces, base, out)
+        else:
+            out.fill(base)
+
     def fill_regs(self, values):
         for reg, value in zip(self.regs, values):
             reg[:] = value
 
-    def compress(self, kw_table, first=0, last=63, fixed_words=None) -> int:
+    def compress(self, kw_table, first=0, last=63, fixed=()) -> int:
         """Rounds ``first``..``last`` from the registers over the message in
-        the ring; returns the number of rounds run.  ``kw_table`` holds the
-        folded K+W of each round, None where W and K are added separately;
-        ``fixed_words`` maps a round to a writer that fills its schedule
-        word in place of the recurrence."""
+        the ring; returns the number of rounds run.  ``kw_table`` (None: no
+        round folds) holds the folded K+W of each round, None where W and K
+        are added separately; :meth:`fixed_word` writes the words in ``fixed``."""
         ring = self.ring
         for t in range(first, last + 1):
-            if t >= 16:
-                if fixed_words and t in fixed_words:
-                    fixed_words[t](ring[t & 15])
-                else:
-                    self.sched(t)
-            self.round(kw_table[t], ring[t & 15], _K[t])
+            if t in fixed:
+                self.fixed_word(t, ring[t & 15])
+            elif t >= 16:
+                self.sched(t)
+            self.round(None if kw_table is None else kw_table[t], ring[t & 15], _K[t])
         return last - first + 1
 
     def feedforward(self, base, out):
@@ -303,77 +320,58 @@ class _Lanes:
         for reg, add, dst in zip(self.regs, base, out):
             np.add(reg, add, dst)
 
+    def chunk(self, pos: int) -> tuple[list, int]:
+        """Hash nonces ``pos`` onward, one per lane, and filter them on
+        digest word 7: the lanes that pass, and the rounds each lane ran.
+        This is the seam between the lanes and the scan loop, which only
+        referees the lanes that pass and counts."""
+        work, s, n, ring = self.work, self.s, self.nonces, self.ring
+        np.add(self.offsets, np.uint32(pos), n)
+        midstate = work.midstate
+        rounds = 0
+        if "1" not in s:  # first compression, recomputed per lane
+            for slot, w in enumerate(struct.unpack(">16I", work.header[:64])):
+                ring[slot][:] = w
+            self.fill_regs(sha.IV)
+            rounds += self.compress(None)
+            self.feedforward(sha.IV, self.mids)
+            midstate = self.mids
 
-def _kw_table(words, folded, s: ImprovementSet) -> list:
-    """Per round, the folded K_t + W_t as a lane operand where ``s`` holds
-    the round's flag in ``folded``, a ``FOLDED_ROUNDS`` entry, else None: the
-    round adds W and K separately.  ``words[t]`` is round t's message word."""
-    return [_u32((sha.K[t] + words[t]) & sha.MASK32) if folded.get(t) in s else None
-            for t in range(64)]
+        # second compression: header tail, nonce, padding
+        for slot in range(16):
+            ring[slot][:] = work.sched0[slot]
+        np.copyto(ring[3], n)
+        if "4" in s:  # round 3 at nonce n: the nonce-0 state with n added to A and E
+            self.fill_regs(work.state_r4)
+            np.add(self.regs[0], n, self.regs[0])
+            np.add(self.regs[4], n, self.regs[4])
+            # the incremental round 3 counts as a round (61 per compression, not
+            # 60), matching the convention that early exit alone brings the
+            # per-nonce cost to 2 * 61/64 = 1.906 compressions
+            rounds += 1
+            first = 4
+        elif "3" in s:
+            self.fill_regs(work.state_r3)
+            first = 3
+        else:
+            self.fill_regs(midstate)
+            first = 0
+        rounds += self.compress(self.kw2, first, 63, self.fixed)
+        self.feedforward(midstate, ring)
 
-
-def _chunk(work: PreparedWork, lanes: _Lanes, s: ImprovementSet, kw) -> int:
-    """Hash the nonces loaded in ``lanes`` through the pipeline ``s`` selects
-    and return the rounds each lane ran.  ``kw`` holds the :func:`_kw_table`
-    of each of the three compressions under ``s``.
-
-    Afterwards the registers hold the third compression's state after
-    round 60 under flag 2 and after round 63 otherwise, before the
-    feedforward.
-    """
-    n, ring, sched0 = lanes.nonces, lanes.ring, work.sched0
-    kw1, kw2, kw3 = kw
-    midstate = work.midstate
-    rounds = 0
-    if "1" not in s:  # first compression, recomputed per lane
-        for slot, w in enumerate(struct.unpack(">16I", work.header[:64])):
-            ring[slot][:] = w
-        lanes.fill_regs(sha.IV)
-        rounds += lanes.compress(kw1)
-        lanes.feedforward(sha.IV, lanes.mids)
-        midstate = lanes.mids
-
-    # second compression: header tail, nonce, padding
-    for slot in range(16):
-        ring[slot][:] = sched0[slot]
-    np.copyto(ring[3], n)
-    if "4" in s:  # round 3 at nonce n: the nonce-0 state with n added to A and E
-        lanes.fill_regs(work.state_r4)
-        np.add(lanes.regs[0], n, lanes.regs[0])
-        np.add(lanes.regs[4], n, lanes.regs[4])
-        # the incremental round 3 counts as a round (61 per compression, not
-        # 60), matching the convention that early exit alone brings the
-        # per-nonce cost to 2 * 61/64 = 1.906 compressions
-        rounds += 1
-        first = 4
-    elif "3" in s:
-        lanes.fill_regs(work.state_r3)
-        first = 3
-    else:
-        lanes.fill_regs(midstate)
-        first = 0
-
-    fixed_words = {}
-    if "7" in s:
-
-        def w18(out):
-            _vsigma(n, _LITTLE_SIGMA0, out, lanes.t1, lanes.t2)
-            np.add(out, sched0[18], out)
-
-        fixed_words[16] = lambda out: out.fill(sched0[16])
-        fixed_words[17] = lambda out: out.fill(sched0[17])
-        fixed_words[18] = w18
-    if "8" in s:
-        fixed_words[19] = lambda out: np.add(n, sched0[19], out)
-    rounds += lanes.compress(kw2, first, 63, fixed_words)
-    lanes.feedforward(midstate, ring)
-
-    # third compression: the first hash in ring slots 0..7, then padding
-    for slot in range(8, 16):
-        ring[slot][:] = _COMP3_BLOCK[slot]
-    lanes.fill_regs(sha.IV)
-    rounds += lanes.compress(kw3, 0, 60 if "2" in s else 63)
-    return rounds
+        # third compression: the first hash in ring slots 0..7, then padding
+        for slot in range(8, 16):
+            ring[slot][:] = _COMP3_BLOCK[slot]
+        self.fill_regs(sha.IV)
+        if "2" in s:  # round 60's E is in register E; rounds 61..63 would shift it into H
+            rounds += self.compress(self.kw3, 0, 60)
+            e60 = self.regs[4]
+        else:
+            rounds += self.compress(self.kw3)
+            e60 = self.regs[7]
+        # digest word 7 byteswapped is the hash's top limb; the referee decides ties
+        word7 = np.add(e60, np.uint32(sha.IV.h), self.t1)
+        return np.nonzero(word7.byteswap(inplace=True) <= self.top_limb)[0].tolist(), rounds
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +387,16 @@ def _scan_range(work, lo, hi, s, chunk, should_abort) -> ScanResult:
     """Scan ``lo..hi`` up to its first find: the find and the counts of the
     nonces consumed."""
     res = ScanResult()
-    width = min(chunk, hi - lo + 1)
-    buffers = _Lanes(width, recompute_midstate="1" not in s)
-    offsets = np.arange(width, dtype=np.uint32)
+    lanes = _Lanes(work, s, min(chunk, hi - lo + 1))
     early = "2" in s
-    e60 = 4 if early else 7  # the register holding round 60's E value
-    top_limb = np.uint32(work.target >> 224)
     stage2_active = work.target < WORD6_TARGET_BOUND
-    kw = (_kw_table((), {}, s),  # the first compression folds nothing
-          _kw_table(work.sched0, FOLDED_ROUNDS[2], s),
-          _kw_table(_COMP3_BLOCK, FOLDED_ROUNDS[3], s))
     pos = lo
     while pos <= hi and res.found is None and not should_abort():
         m = min(chunk, hi - pos + 1)
-        lanes = buffers.view(m)
-        np.add(offsets[:m], np.uint32(pos), out=lanes.nonces)
-        per_lane = _chunk(work, lanes, s, kw)
-        # digest word 7 byteswapped is the hash's top limb; the referee decides ties
-        word7 = np.add(lanes.regs[e60], np.uint32(sha.IV.h), lanes.t1)
-        candidates = np.nonzero(word7.byteswap(inplace=True) <= top_limb)[0]
-        for lane in candidates.tolist():
+        if m < lanes.bank.shape[1]:  # the span's shorter last chunk, on the same bank
+            lanes = _Lanes(work, s, m, lanes.bank)
+        candidates, per_lane = lanes.chunk(pos)
+        for lane in candidates:
             digest = complete_nonce(work, pos + lane)  # scalar referee
             if early:
                 res.stage1_survivors += 1

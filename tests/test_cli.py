@@ -471,7 +471,7 @@ class TestInputChecks:
         assert run_cli("energy", *(x for pair in argv.items() for x in pair)) == 2
 
     @pytest.mark.parametrize("bad", ["0" * 65, "0" * 64, "0x" + "f" * 8, "zz", "-1",
-                                     " ff", "1_0", ""])
+                                     " ff", "1_0", "", "00ff", "01"])
     def test_target_form_checked(self, bad):
         assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", bad) == 2
         assert run_cli("verify", "--header", "00" * 80, "--target", bad) == 2

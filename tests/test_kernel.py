@@ -707,3 +707,59 @@ class TestCostConvention:
         # with the nonce fill and the word-7 add; the baseline of the fold floor
         for s, want in ((FULL, 6226), (costs.ImprovementSet.none(), 9954)):
             assert sum(_count_chunk(monkeypatch, s, lanes)[0].values()) == want, str(s)
+
+def _cover_sets():
+    """Each of flags 1-8 on and off: none, full, and per flag the largest
+    lane set without it and the smallest with it."""
+    sets = {costs.ImprovementSet.none(), FULL}
+    for f in "12345678":
+        sets.add(max((s for s in LANE_SETS if f not in s), key=lambda s: len(s.flags)))
+        sets.add(min((s for s in LANE_SETS if f in s), key=lambda s: len(s.flags)))
+    return sorted(sets, key=str)
+
+class TestLaneSeam:
+    """``_Lanes.chunk(pos)``, the one seam between the lanes and the scan
+    loop: exactly the lanes whose digest word 7 is at most the target's top
+    limb, and the rounds each lane ran."""
+
+    COVER = _cover_sets()
+
+    @staticmethod
+    def _check(lanes, work, pos, width, s):
+        candidates, rounds = lanes.chunk(pos)
+        limb = work.target >> 224
+        want = [i for i in range(width) if int.from_bytes(
+            _dsha(_header_at(work.header, pos + i))[28:32], "little") <= limb]
+        assert candidates == want, str(s)
+        assert rounds == costs.executed_rounds(s) + ("4" in s), str(s)
+        return want
+
+    def test_candidates_are_the_word7_filter(self):
+        rng = random.Random(SEED + 60)
+        passed = 0
+        for s in self.COVER:
+            # about 1 lane in 64 passes at a target near 2^250
+            work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
+            pos = rng.randrange((1 << 32) - 377)
+            lanes = kern._Lanes(work, s, 300)
+            passed += len(self._check(lanes, work, pos, 300, s))
+            # a narrower chunk runs on the first columns of the same bank
+            narrow = kern._Lanes(work, s, 77, lanes.bank)
+            assert np.shares_memory(narrow.bank, lanes.bank)
+            self._check(narrow, work, pos + 300, 77, s)
+        assert passed > len(self.COVER)
+
+    def test_shorter_last_chunk_reuses_the_bank(self, monkeypatch):
+        made = []
+
+        class Recorded(kern._Lanes):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(kern, "_Lanes", Recorded)
+        work = kern.prepare_header_work(random.Random(SEED + 61).randbytes(80), 1)
+        res = kern.scan(work, 1000, 1000 + 2 * 64 + 9, chunk=64)
+        assert res.nonces_tried == 2 * 64 + 10
+        assert [lanes.bank.shape[1] for lanes in made] == [64, 10]
+        assert made[1].bank.base is made[0].bank.base

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_target_hex, help="target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=kern.CPUS)
     p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto",
                    help="early-exit keeps improvement 2, generic drops it, auto keeps it "
                         "below 2^224")
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="an improvement set's throughput versus the naive pipeline")
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=kern.CPUS)
     add_set(p)
     add_chunk(p)
     add_format(p)

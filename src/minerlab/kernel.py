@@ -90,9 +90,12 @@ from . import sha256 as sha
 from .costs import FOLDED_ROUNDS, ImprovementSet
 from .header import meets_target
 
-# Lanes per numpy call when the caller gives no chunk.  One thread: the 30
+# The CPUs this process may run on: every scan's span cap and chunk rule read it.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Lanes per numpy call when the caller gives no chunk.  One span: the 30
 # bank rows of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
-# lanes past its winner.  Several threads: 2^14 calls make the threads convoy
+# lanes past its winner.  Several spans: 2^14 calls make their threads convoy
 # on the GIL, so they keep 2^16.
 DEFAULT_CHUNK = 1 << 14
 THREADED_CHUNK = 1 << 16
@@ -424,11 +427,11 @@ def _span(lo: int, hi: int, parts: int, idx: int) -> tuple[int, int]:
 
 
 def effective_chunk(threads: int, chunk: int | None = None) -> int:
-    """``chunk`` if given, else :data:`DEFAULT_CHUNK` on one thread and
-    :data:`THREADED_CHUNK` on several."""
+    """``chunk`` if given, else :data:`DEFAULT_CHUNK` when ``threads`` and
+    :data:`CPUS` allow one span and :data:`THREADED_CHUNK` when they allow more."""
     if chunk is not None:
         return chunk
-    return DEFAULT_CHUNK if threads == 1 else THREADED_CHUNK
+    return DEFAULT_CHUNK if min(threads, CPUS) == 1 else THREADED_CHUNK
 
 
 def scan(
@@ -451,14 +454,14 @@ def scan(
     :func:`effective_chunk`.
 
     The range is split into ``threads`` contiguous spans, but never more
-    than ``1 + os.cpu_count()``: the calling thread scans the lowest span and
-    a pool thread each of the others.  A find stops the spans above it.  The
+    than :data:`CPUS`: the calling thread scans the lowest span and a pool
+    thread each of the others.  A find stops the spans above it.  The
     merge takes the minimum found nonce, so partitioning never changes the
     winner.  Counters cover the nonces each span actually consumed.
     """
-    for name, v in (("nonce_lo", nonce_lo), ("nonce_hi", nonce_hi)):
-        if not 0 <= v <= sha.MASK32:
-            raise ValueError(f"{name} out of 32-bit range")
+    if not (0 <= nonce_lo <= sha.MASK32 and 0 <= nonce_hi <= sha.MASK32):
+        raise ValueError(f"nonces must lie in the 32-bit range [0, {sha.MASK32}], "
+                         f"got {nonce_lo}..{nonce_hi}")
     if threads < 1:
         raise ValueError("threads must be positive")
     chunk = effective_chunk(threads, chunk)
@@ -467,7 +470,7 @@ def scan(
     if nonce_lo > nonce_hi:
         return ScanResult()
 
-    parts = min(threads, nonce_hi - nonce_lo + 1, 1 + (os.cpu_count() or 1))
+    parts = min(threads, nonce_hi - nonce_lo + 1, CPUS)
     lock = threading.Lock()
     lowest_found = parts  # the lowest span that found a nonce, parts while none has
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import minerlab.cli as cli
 import minerlab.costs as costs
 import minerlab.header as hdr
+import minerlab.kernel as kern
 import minerlab.rewards as rw
 import minerlab.sha256 as sha
 
@@ -47,8 +48,6 @@ def kv(capsys) -> dict:
 @pytest.fixture(scope="module")
 def solved():
     """Mine the bundled fixture once; reuse the solved header everywhere."""
-    import minerlab.kernel as kern
-
     raw, target = bytes.fromhex(FIXTURE_HEADER), FIXTURE_TARGET
     res = kern.scan(kern.prepare_header_work(raw, target), 0, 0x1FFFF)
     assert res.found is not None
@@ -194,19 +193,32 @@ class TestScanShape:
         (("--threads", "2", "--chunk", "4096"), "4096"),
         (("--threads", "1", "--chunk", "65536"), "65536"),
     ])
-    def test_mine_reports_chunk(self, extra, chunk, capsys):
+    def test_mine_reports_chunk(self, extra, chunk, capsys, monkeypatch):
+        monkeypatch.setattr(kern, "CPUS", 2)
         assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1",
                        "--nonce-end", "255", *extra) == 1
         report = kv(capsys)
         assert report["chunk"] == chunk
         assert report["threads"] == extra[1]
 
-    def test_mine_csv_has_chunk_and_threads(self, capsys):
+    def test_mine_csv_has_chunk_and_threads(self, capsys, monkeypatch):
+        monkeypatch.setattr(kern, "CPUS", 2)
         assert run_cli("mine", "--header", FIXTURE_HEADER, "--target", "1", "--nonce-end", "255",
                        "--threads", "2", "--format", "csv") == 1
         keys, values = capsys.readouterr().out.splitlines()
         row = dict(zip(keys.split(","), values.split(",")))
         assert row["chunk"] == "65536" and row["threads"] == "2"
+
+    @pytest.mark.parametrize("cpus, threads, chunk", [(1, "1", "16384"), (2, "2", "65536")])
+    @pytest.mark.parametrize("argv", [
+        ("mine", "--header", FIXTURE_HEADER, "--target", "1", "--nonce-end", "255"),
+        ("bench", "--count", "4096"),
+    ])
+    def test_threads_default_to_cpus(self, argv, cpus, threads, chunk, capsys, monkeypatch):
+        monkeypatch.setattr(kern, "CPUS", cpus)
+        assert run_cli(*argv) in (0, 1)
+        report = kv(capsys)
+        assert (report["threads"], report["chunk"]) == (threads, chunk)
 
     @pytest.mark.parametrize("fmt", ["kv", "csv"])
     def test_bench_reports_chunk(self, fmt, capsys):
@@ -457,6 +469,18 @@ class TestInputChecks:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, got", [
+        (("mine", *FIXTURE, "--nonce-start", "4294967296"), "4294967296..4294967295"),
+        (("bench", "--count", "4294967297", "--threads", "1"), "0..4294967296"),
+    ])
+    def test_nonce_range_error_gives_bound_and_values(self, argv, got, capsys):
+        # the message speaks of the options' values, not of scan()'s parameters
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "32-bit" in err and "4294967295]" in err and got in err
+        assert "nonce_lo" not in err and "nonce_hi" not in err
 
     def test_retarget_sim_needs_a_start(self, capsys):
         assert run_cli("retarget-sim", "--spans", "100") == 2

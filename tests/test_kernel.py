@@ -285,55 +285,48 @@ class TestScanDecisions:
         assert one.nonces_tried == 8192
         assert self._counters(three) == self._counters(one)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # six threads asked for on a two-CPU host: three spans, the calling
-        # thread and two pool workers, with the same winner and counters
-        sizes = []
-        real_pool = kern.ThreadPoolExecutor
+    @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6), (2, 64)])
+    def test_spans_capped_at_cpus(self, monkeypatch, cpus, threads):
+        # more threads asked for than the process has CPUs: one span per CPU,
+        # the calling thread's and one per pool worker, that tile the range at
+        # the full chunk; the winner is in the last span, so the winner and
+        # counters are the one-thread scan's
+        sizes, spans = [], []
+        scan_range = kern._scan_range
 
-        def pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        class Pool(kern.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(kern, "ThreadPoolExecutor", pool)
+        def recording(work, lo, hi, s, chunk, *rest):
+            spans.append((lo, hi, chunk))
+            return scan_range(work, lo, hi, s, chunk, *rest)
+
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
-        assert kern._span(lo, hi, 3, 2)[0] < nonce
-        one = kern.scan(work, lo, hi, threads=1, chunk=512)
-        six = kern.scan(work, lo, hi, threads=6, chunk=512)
-        assert sizes == [1, 2]
-        assert six.found == one.found and one.found.digest == _dsha(GENESIS)
-        assert self._counters(six) == self._counters(one)
-
-    def test_spans_past_pool_size_add_no_workers(self, monkeypatch):
-        # 64 threads asked for over 64 nonces on a two-CPU host: three spans,
-        # two of them on pool workers; the winner is in the last span
-        submits = []
-
-        class Pool(kern.ThreadPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submits.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
+        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        monkeypatch.setattr(kern, "CPUS", cpus)
         monkeypatch.setattr(kern, "ThreadPoolExecutor", Pool)
-        nonce = int.from_bytes(GENESIS[76:80], "big")
-        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        one = kern.scan(work, nonce - 63, nonce, threads=1)
-        many = kern.scan(work, nonce - 63, nonce, threads=64)
-        assert len(submits) == 2
+        monkeypatch.setattr(kern, "_scan_range", recording)
+        many = kern.scan(work, lo, hi, threads=threads, chunk=1024)
+        spans.sort()
+        assert sizes == [max(1, cpus - 1)]
+        assert len(spans) == cpus and spans[-1][0] <= nonce
+        assert spans[0][0] == lo and spans[-1][1] == hi
+        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
-        assert one.nonces_tried == 64
+        assert one.nonces_tried == 8192
         assert self._counters(many) == self._counters(one)
 
     def test_span_claims_under_contention(self, monkeypatch):
-        # 32 threads asked for on an eight-CPU host: nine spans, one each for
-        # eight pool workers and the calling thread, switching every 10 us;
-        # a span scanned twice or never changes the exhaustive counters, and
-        # a lost lowest-found update can hand the win to a higher span
-        monkeypatch.setattr(kern.os, "cpu_count", lambda: 8)
+        # 32 threads asked for on eight CPUs: eight spans, one each for seven
+        # pool workers and the calling thread, switching every 10 us; a span
+        # scanned twice or never changes the exhaustive counters, and a lost
+        # lowest-found update can hand the win to a higher span
+        monkeypatch.setattr(kern, "CPUS", 8)
         base = random.Random(SEED + 37).randbytes(80)
         none = kern.prepare_header_work(base, target=1)
         some = kern.prepare_header_work(base, target=1 << 249)
@@ -361,31 +354,6 @@ class TestScanDecisions:
             assert self._counters(got_none) == self._counters(want_none)
             assert got_some.found == want_some.found
             assert want_some.nonces_tried <= got_some.nonces_tried <= 2048
-
-    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch):
-        # 64 threads asked for on a two-CPU host: three spans that tile the
-        # range, each wide enough for full chunks, and the one-thread result
-        spans = []
-        scan_range = kern._scan_range
-
-        def recording(work, lo, hi, s, chunk, *rest):
-            spans.append((lo, hi, chunk))
-            return scan_range(work, lo, hi, s, chunk, *rest)
-
-        nonce = int.from_bytes(GENESIS[76:80], "big")
-        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        lo, hi = nonce - 8191, nonce + 100
-        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
-        monkeypatch.setattr(kern.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(kern, "_scan_range", recording)
-        many = kern.scan(work, lo, hi, threads=64, chunk=1024)
-        spans.sort()
-        assert len(spans) == 3
-        assert spans[0][0] == lo and spans[-1][1] == hi
-        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
-        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
-        assert self._counters(many) == self._counters(one)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -475,7 +443,7 @@ class TestScanDecisions:
                 kern.scan(work, lo, hi)
 
 class TestChunkRule:
-    """Without a chunk the scan picks one from the thread count; the chunk
+    """Without a chunk the scan picks one from the spans that run; the chunk
     never changes what a scan finds or counts."""
 
     @staticmethod
@@ -484,8 +452,12 @@ class TestChunkRule:
                 res.stage1_survivors, res.stage2_survivors)
 
     @pytest.mark.parametrize("threads, chunk", [(1, 1 << 14), (2, 1 << 16), (3, 1 << 16)])
-    def test_default_follows_threads(self, threads, chunk):
+    def test_default_follows_threads(self, threads, chunk, monkeypatch):
+        monkeypatch.setattr(kern, "CPUS", 2)
         assert kern.effective_chunk(threads) == chunk
+        # on one CPU every thread count runs one span
+        monkeypatch.setattr(kern, "CPUS", 1)
+        assert kern.effective_chunk(threads) == 1 << 14
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])

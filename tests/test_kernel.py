@@ -285,7 +285,7 @@ class TestScanDecisions:
         assert one.nonces_tried == 8192
         assert self._counters(three) == self._counters(one)
 
-    @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6), (2, 64)])
+    @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6)])
     def test_spans_capped_at_cpus(self, monkeypatch, cpus, threads):
         # more threads asked for than the process has CPUs: one span per CPU,
         # the calling thread's and one per pool worker, that tile the range at
@@ -319,6 +319,56 @@ class TestScanDecisions:
         assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert one.nonces_tried == 8192
+        assert self._counters(many) == self._counters(one)
+
+    def test_spans_past_pool_size_add_no_workers(self, monkeypatch):
+        # 64 threads asked for over 64 nonces on two CPUs: two spans, one of
+        # them on the single pool worker; the winner is in the last span
+        sizes, submits = [], []
+
+        class Pool(kern.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, *args, **kwargs):
+                submits.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        one = kern.scan(work, nonce - 63, nonce, threads=1)
+        monkeypatch.setattr(kern, "CPUS", 2)
+        monkeypatch.setattr(kern, "ThreadPoolExecutor", Pool)
+        many = kern.scan(work, nonce - 63, nonce, threads=64)
+        assert sizes == [1] and len(submits) == 1
+        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
+        assert one.nonces_tried == 64
+        assert self._counters(many) == self._counters(one)
+
+    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch):
+        # 64 threads asked for on two CPUs: two spans that tile the range,
+        # each wide enough for full chunks, and the one-thread result
+        spans = []
+        scan_range = kern._scan_range
+
+        def recording(work, lo, hi, s, chunk, *rest):
+            spans.append((lo, hi, chunk))
+            return scan_range(work, lo, hi, s, chunk, *rest)
+
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        lo, hi = nonce - 8191, nonce + 100
+        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        monkeypatch.setattr(kern, "CPUS", 2)
+        monkeypatch.setattr(kern, "_scan_range", recording)
+        many = kern.scan(work, lo, hi, threads=64, chunk=1024)
+        spans.sort()
+        assert len(spans) == 2
+        assert spans[0][0] == lo and spans[-1][1] == hi
+        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
+        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
+        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert self._counters(many) == self._counters(one)
 
     def test_span_claims_under_contention(self, monkeypatch):

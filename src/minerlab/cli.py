@@ -70,17 +70,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-class _PickedChunk(int):
-    """The ``--chunk`` default: reads as the one-thread chunk, and lets the
-    scan pick the chunk from the thread count."""
-
-
-def _scan_chunk(args) -> int:
-    """The chunk a scan runs: ``--chunk`` if given, else the thread count's."""
-    return kern.effective_chunk(args.threads, None if isinstance(args.chunk, _PickedChunk)
-                                else args.chunk)
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -127,17 +116,16 @@ def cmd_mine(args) -> int:
     early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
     improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
     work = kern.prepare_header_work(raw, target)
-    chunk = _scan_chunk(args)
     started = time.perf_counter()
     res = kern.scan(work, args.nonce_start, args.nonce_end, improvements=improvements,
-                    threads=args.threads, chunk=chunk)
+                    threads=args.threads, chunk=args.chunk)
     elapsed = time.perf_counter() - started
 
     pairs = [
         ("target", f"{target:064x}"),
         ("mode", "early-exit" if early else "generic"),
         ("threads", args.threads),
-        ("chunk", chunk),
+        ("chunk", args.chunk),
         ("nonces_tried", res.nonces_tried),
         ("rounds_executed", res.rounds_executed),
         ("compressions_per_nonce", f"{res.compressions_equivalent:.6f}"),
@@ -182,23 +170,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count > 1 << 32:  # before the warm-up scans, which stop short of it
+        raise ValueError(f"--count {args.count} scans nonces 0..{args.count - 1}, "
+                         f"past the 32-bit range [0, {sha.MASK32}]")
     improvements = costs.ImprovementSet.parse(args.set)
     raw = random.Random(DEFAULT_SEED).randbytes(76)
     target = 1  # unreachable: pure throughput measurement
 
     work = kern.prepare_header_work(raw, target)
     pipelines = (improvements, costs.ImprovementSet.none())
-    chunk = _scan_chunk(args)
 
     def run(s, end):
         t0 = time.perf_counter()
-        res = kern.scan(work, 0, end, threads=args.threads, chunk=chunk, improvements=s)
+        res = kern.scan(work, 0, end, threads=args.threads, chunk=args.chunk, improvements=s)
         return res, time.perf_counter() - t0
 
     # one untimed chunk of each warms the process; then the two alternate
     # and the medians damp speed drift between runs
     for s in pipelines:
-        run(s, min(args.count, chunk) - 1)
+        run(s, min(args.count, args.chunk) - 1)
     timed = [[run(s, args.count - 1) for s in pipelines] for _ in range(BENCH_ROUNDS)]
     fast, slow = timed[0][0][0], timed[0][1][0]
     fast_s, slow_s = (sorted(r[i][1] for r in timed)[BENCH_ROUNDS // 2] for i in (0, 1))
@@ -207,7 +197,7 @@ def cmd_bench(args) -> int:
         [
             ("count", args.count),
             ("threads", args.threads),
-            ("chunk", chunk),
+            ("chunk", args.chunk),
             ("improvements", str(improvements)),
             ("optimized_compressions_per_nonce", f"{fast.compressions_equivalent:.6f}"),
             ("optimized_nonces_per_s", f"{args.count / fast_s:.0f}"),
@@ -356,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="improvement flags to measure: none, full or a list such as 1,2,3")
 
     def add_chunk(p):
-        p.add_argument("--chunk", type=_positive_int, default=_PickedChunk(kern.DEFAULT_CHUNK),
-                       help=f"lanes per numpy call, at most {kern.MAX_CHUNK} (default: "
-                            f"{kern.DEFAULT_CHUNK} on one thread, {kern.THREADED_CHUNK} on more)")
+        p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK,
+                       help=f"lanes per numpy call in each span, at most {kern.MAX_CHUNK} "
+                            f"(default: {kern.DEFAULT_CHUNK})")
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     p.add_argument("--header", required=True, help="160-char header hex (nonce field ignored)")

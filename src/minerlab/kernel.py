@@ -63,7 +63,7 @@ Maj (a & b) | (c & (a | b)), 3 and 4 calls where the textbook forms take
 4 and 5.
 
 Cost instrumentation counts block-cipher rounds; one :class:`ScanResult`
-per scanning thread holds them, and :func:`scan` returns the sum, whose
+per span holds them, and :func:`scan` returns the sum, whose
 ``compressions_equivalent`` is the count in units of whole 64-round
 compressions per nonce.  The rounds are counted from the rounds the lanes
 run: each compression returns how many it ran, and the chunk adds the
@@ -74,14 +74,19 @@ accounting.  The lanes' rounds and additions depart from it in four
 places, named once in ``tests/test_kernel.py::TestCostConvention``, which
 checks them over every lane set and pins the ufunc calls per chunk;
 README's "Performance notes" tables them.
+
+numpy takes the GIL back after every ufunc call, so span threads would
+queue on it: :func:`scan` runs its lowest span on the calling thread and
+each higher span in a child process made with ``os.fork``.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
+import signal
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,17 +95,15 @@ from . import sha256 as sha
 from .costs import FOLDED_ROUNDS, ImprovementSet
 from .header import meets_target
 
-# The CPUs this process may run on: every scan's span cap and chunk rule read it.
+# The CPUs this process may run on: every scan's span cap reads it.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Lanes per numpy call when the caller gives no chunk.  One span: the 30
+# Lanes per numpy call in each span when the caller gives no chunk: the 30
 # bank rows of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
-# lanes past its winner.  Several spans: 2^14 calls make their threads convoy
-# on the GIL, so they keep 2^16.
+# lanes past its winner.
 DEFAULT_CHUNK = 1 << 14
-THREADED_CHUNK = 1 << 16
 # The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
-# measures: 4 MiB for each of a thread's 30 bank rows (38 without flag 1).
+# measures: 4 MiB for each of a span's 30 bank rows (38 without flag 1).
 MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
@@ -228,8 +231,19 @@ def _kw_table(words, folded, s: ImprovementSet) -> list:
             for t in range(64)]
 
 
+def _bank(rows: int, width: int) -> np.ndarray:
+    """A zeroed ``rows`` x ``width`` uint32 bank whose every row starts on a
+    64-byte boundary.  malloc aligns to 16 bytes only, and on a 2-vCPU
+    AVX-512 Xeon a chunk ran about 15% slower with its rows 16 bytes off a
+    32-byte boundary, so the scan's speed followed where the heap put it."""
+    stride = -(-width // 16) * 16  # lanes per row, rounded up to 64 bytes
+    raw = np.zeros(rows * stride + 16, dtype=np.uint32)
+    skip = -raw.ctypes.data % 64 // 4
+    return raw[skip:skip + rows * stride].reshape(rows, stride)[:, :width]
+
+
 class _Lanes:
-    """One scanning thread's pipeline of set ``s`` over one work item.
+    """One span's pipeline of set ``s`` over one work item.
 
     Every lane buffer is a row of one uint32 bank: 8 registers, 16
     schedule-ring words, 4 scratch rows, the nonces and the lane offsets,
@@ -238,7 +252,7 @@ class _Lanes:
 
     def __init__(self, work: PreparedWork, s: ImprovementSet, width: int, bank=None):
         if bank is None:
-            bank = np.zeros((30 if "1" in s else 38, width), dtype=np.uint32)
+            bank = _bank(30 if "1" in s else 38, width)
         self.bank = bank[:, :width]
         rows = list(self.bank)
         self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
@@ -426,12 +440,42 @@ def _span(lo: int, hi: int, parts: int, idx: int) -> tuple[int, int]:
     return start, start + base - (idx >= rem)
 
 
-def effective_chunk(threads: int, chunk: int | None = None) -> int:
-    """``chunk`` if given, else :data:`DEFAULT_CHUNK` when ``threads`` and
-    :data:`CPUS` allow one span and :data:`THREADED_CHUNK` when they allow more."""
-    if chunk is not None:
-        return chunk
-    return DEFAULT_CHUNK if min(threads, CPUS) == 1 else THREADED_CHUNK
+def _fork_span(run, idx: int) -> tuple:
+    """Run ``run(idx)`` in a child process: its pid and the read end of the
+    pipe that brings back the pickled :class:`ScanResult`, or a message if
+    the span raised."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
+    # the child never returns into the caller, never writes to stdout or
+    # stderr, and leaves without flushing the buffers it inherited
+    try:
+        try:
+            report = run(idx)
+        except BaseException as exc:
+            report = f"{type(exc).__name__}: {exc}"
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(report, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _join_span(children: dict, idx: int, span: tuple[int, int]) -> ScanResult:
+    """Read span ``idx``'s report, reap its child and drop it from
+    ``children``; raise unless the child exited 0 with a :class:`ScanResult`."""
+    pid, pipe = children[idx]
+    data = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    del children[idx]
+    pipe.close()
+    report = pickle.loads(data) if status == 0 else f"exit status {status}"
+    if not isinstance(report, ScanResult):
+        raise RuntimeError(f"span {idx} (nonces {span[0]}..{span[1]}) failed in its "
+                           f"child process: {report}")
+    return report
 
 
 def scan(
@@ -441,7 +485,7 @@ def scan(
     *,
     improvements: ImprovementSet = ImprovementSet.full(),
     threads: int = 1,
-    chunk: int | None = None,
+    chunk: int = DEFAULT_CHUNK,
 ) -> ScanResult:
     """Scan the inclusive nonce range, returning the smallest qualifying
     nonce if one exists; an empty range (``nonce_lo > nonce_hi``) tries
@@ -449,44 +493,55 @@ def scan(
 
     The lanes run exactly the pipeline ``improvements`` selects, at any
     target; the caller names the mode (``mine`` prints ``early-exit`` when
-    the set holds flag 2 and ``generic`` otherwise).  ``chunk`` lanes run
-    per numpy call, at most :data:`MAX_CHUNK`; None picks
-    :func:`effective_chunk`.
+    the set holds flag 2 and ``generic`` otherwise).  Every span runs
+    ``chunk`` lanes per numpy call, at most :data:`MAX_CHUNK`.
 
     The range is split into ``threads`` contiguous spans, but never more
-    than :data:`CPUS`: the calling thread scans the lowest span and a pool
-    thread each of the others.  A find stops the spans above it.  The
-    merge takes the minimum found nonce, so partitioning never changes the
-    winner.  Counters cover the nonces each span actually consumed.
+    than :data:`CPUS`: the calling thread scans the lowest span and a child
+    process made with ``os.fork`` each of the others (one span where the OS
+    has no ``fork``).  Span ``i`` sets byte ``i`` of a shared anonymous
+    ``mmap`` when it finds, and a span stops at its next chunk once a lower
+    byte is set.  Each child sends its result back through a pipe; the merge
+    takes the minimum found nonce, so partitioning never changes the
+    winner, and sums the counters, which cover the nonces each span
+    actually consumed.  No child outlives the call: a child whose span
+    raises makes the scan raise, and if the calling thread raises, the
+    children are killed and reaped.
     """
     if not (0 <= nonce_lo <= sha.MASK32 and 0 <= nonce_hi <= sha.MASK32):
         raise ValueError(f"nonces must lie in the 32-bit range [0, {sha.MASK32}], "
                          f"got {nonce_lo}..{nonce_hi}")
     if threads < 1:
         raise ValueError("threads must be positive")
-    chunk = effective_chunk(threads, chunk)
     if not 1 <= chunk <= MAX_CHUNK:
         raise ValueError(f"chunk must lie in [1, {MAX_CHUNK}], got {chunk}")
     if nonce_lo > nonce_hi:
         return ScanResult()
 
-    parts = min(threads, nonce_hi - nonce_lo + 1, CPUS)
-    lock = threading.Lock()
-    lowest_found = parts  # the lowest span that found a nonce, parts while none has
+    parts = min(threads, nonce_hi - nonce_lo + 1, CPUS if hasattr(os, "fork") else 1)
+    spans = [_span(nonce_lo, nonce_hi, parts, idx) for idx in range(parts)]
+    found = mmap.mmap(-1, parts)  # byte i is set once span i finds
 
-    def worker(idx: int) -> ScanResult:
-        nonlocal lowest_found
+    def run(idx: int) -> ScanResult:
         # a find in a lower span always wins; stop wasting work
-        res = _scan_range(work, *_span(nonce_lo, nonce_hi, parts, idx), improvements, chunk,
-                          lambda: lowest_found < idx)
+        res = _scan_range(work, *spans[idx], improvements, chunk, lambda: any(found[:idx]))
         if res.found is not None:
-            with lock:
-                lowest_found = min(lowest_found, idx)
+            found[idx] = 1
         return res
 
-    with ThreadPoolExecutor(max_workers=max(1, parts - 1)) as pool:
-        rest = pool.map(worker, range(1, parts))
-        results = [worker(0), *rest]
+    children = {}  # span index -> (pid, pipe from the child) until the child is reaped
+    try:
+        for idx in range(1, parts):
+            children[idx] = _fork_span(run, idx)
+        results = [run(0)]
+        for idx in range(1, parts):
+            results.append(_join_span(children, idx, spans[idx]))
+    finally:
+        for pid, pipe in children.values():  # left only when the scan raised
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        found.close()
 
     return ScanResult(
         found=min((r.found for r in results if r.found is not None),
@@ -504,7 +559,7 @@ def scan_naive(
     nonce_lo: int,
     nonce_hi: int,
     *,
-    chunk: int | None = None,
+    chunk: int = DEFAULT_CHUNK,
 ) -> ScanResult:
     """The unoptimized three-compression baseline: :func:`scan` on one
     thread with no improvements, so every lane recomputes the first

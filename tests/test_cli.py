@@ -189,7 +189,7 @@ class TestScanShape:
 
     @pytest.mark.parametrize("extra, chunk", [
         (("--threads", "1"), "16384"),
-        (("--threads", "2"), "65536"),
+        (("--threads", "2", "--chunk", "65536"), "65536"),
         (("--threads", "2", "--chunk", "4096"), "4096"),
         (("--threads", "1", "--chunk", "65536"), "65536"),
     ])
@@ -207,9 +207,9 @@ class TestScanShape:
                        "--threads", "2", "--format", "csv") == 1
         keys, values = capsys.readouterr().out.splitlines()
         row = dict(zip(keys.split(","), values.split(",")))
-        assert row["chunk"] == "65536" and row["threads"] == "2"
+        assert row["chunk"] == "16384" and row["threads"] == "2"
 
-    @pytest.mark.parametrize("cpus, threads, chunk", [(1, "1", "16384"), (2, "2", "65536")])
+    @pytest.mark.parametrize("cpus, threads, chunk", [(1, "1", "16384"), (2, "2", "16384")])
     @pytest.mark.parametrize("argv", [
         ("mine", "--header", FIXTURE_HEADER, "--target", "1", "--nonce-end", "255"),
         ("bench", "--count", "4096"),
@@ -279,6 +279,15 @@ class TestBench:
 
     def test_zero_count_rejected(self):
         assert run_cli("bench", "--count", "0") == 2
+
+    def test_count_past_32_bits_scans_nothing(self, monkeypatch, capsys):
+        # the range check comes before the untimed warm-up scans
+        calls = []
+        monkeypatch.setattr(kern, "scan", lambda *args, **kwargs: calls.append(args))
+        assert run_cli("bench", "--count", str((1 << 32) + 1), "--threads", "1") == 2
+        assert calls == []
+        assert capsys.readouterr().err == ("error: --count 4294967297 scans nonces "
+                                           "0..4294967296, past the 32-bit range [0, 4294967295]\n")
 
     def test_set_none_measures_naive_pipeline(self, capsys):
         assert run_cli("bench", "--count", "4096", "--threads", "1",

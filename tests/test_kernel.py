@@ -1,10 +1,12 @@
 import collections
 import dataclasses
 import hashlib
+import os
 import random
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +45,43 @@ def _header_at(base: bytes, nonce_word: int) -> bytes:
     # the scanner's nonce is the word the hash consumes, i.e. the four
     # nonce bytes read big-endian
     return base[:76] + nonce_word.to_bytes(4, "big")
+
+@pytest.fixture
+def span_log(tmp_path, monkeypatch):
+    """Reads the ``(lo, hi, chunk)`` of every span scanned since the last read,
+    sorted, in whichever process scanned it: ``_scan_range`` is wrapped to
+    append one line per span to a file."""
+    path = tmp_path / "spans"
+    path.touch()
+    scan_range = kern._scan_range
+
+    def recording(work, lo, hi, s, chunk, *rest):
+        with open(path, "a") as log:
+            log.write(f"{lo} {hi} {chunk}\n")
+        return scan_range(work, lo, hi, s, chunk, *rest)
+
+    def read():
+        lines = path.read_text().splitlines()
+        path.write_text("")
+        return sorted(tuple(map(int, line.split())) for line in lines)
+
+    monkeypatch.setattr(kern, "_scan_range", recording)
+    return read
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``kern.os.fork`` makes during the test."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(kern.os, "fork", counting)
+    return pids
 
 class TestMidstate:
     def test_matches_reference_compress(self):
@@ -273,7 +312,7 @@ class TestScanDecisions:
 
     def test_winner_in_highest_subrange(self):
         # the calling thread scans the lowest subrange and exhausts it; the
-        # only winner lies in the last, which a pool thread scans
+        # only winner lies in the last, which a child process scans
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
@@ -286,33 +325,20 @@ class TestScanDecisions:
         assert self._counters(three) == self._counters(one)
 
     @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6)])
-    def test_spans_capped_at_cpus(self, monkeypatch, cpus, threads):
+    def test_spans_capped_at_cpus(self, monkeypatch, span_log, forks, cpus, threads):
         # more threads asked for than the process has CPUs: one span per CPU,
-        # the calling thread's and one per pool worker, that tile the range at
-        # the full chunk; the winner is in the last span, so the winner and
+        # the calling thread's and one per child process, that tile the range
+        # at the full chunk; the winner is in the last span, so the winner and
         # counters are the one-thread scan's
-        sizes, spans = [], []
-        scan_range = kern._scan_range
-
-        class Pool(kern.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        def recording(work, lo, hi, s, chunk, *rest):
-            spans.append((lo, hi, chunk))
-            return scan_range(work, lo, hi, s, chunk, *rest)
-
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
         one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        assert forks == [] and len(span_log()) == 1
         monkeypatch.setattr(kern, "CPUS", cpus)
-        monkeypatch.setattr(kern, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(kern, "_scan_range", recording)
         many = kern.scan(work, lo, hi, threads=threads, chunk=1024)
-        spans.sort()
-        assert sizes == [max(1, cpus - 1)]
+        spans = span_log()
+        assert len(forks) == cpus - 1
         assert len(spans) == cpus and spans[-1][0] <= nonce
         assert spans[0][0] == lo and spans[-1][1] == hi
         assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
@@ -321,61 +347,43 @@ class TestScanDecisions:
         assert one.nonces_tried == 8192
         assert self._counters(many) == self._counters(one)
 
-    def test_spans_past_pool_size_add_no_workers(self, monkeypatch):
+    def test_spans_past_pool_size_add_no_workers(self, monkeypatch, forks):
         # 64 threads asked for over 64 nonces on two CPUs: two spans, one of
-        # them on the single pool worker; the winner is in the last span
-        sizes, submits = [], []
-
-        class Pool(kern.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-            def submit(self, fn, *args, **kwargs):
-                submits.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
+        # them in the single child process; the winner is in the last span
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         one = kern.scan(work, nonce - 63, nonce, threads=1)
         monkeypatch.setattr(kern, "CPUS", 2)
-        monkeypatch.setattr(kern, "ThreadPoolExecutor", Pool)
         many = kern.scan(work, nonce - 63, nonce, threads=64)
-        assert sizes == [1] and len(submits) == 1
+        assert len(forks) == 1
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert one.nonces_tried == 64
         assert self._counters(many) == self._counters(one)
 
-    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch):
+    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch, span_log):
         # 64 threads asked for on two CPUs: two spans that tile the range,
-        # each wide enough for full chunks, and the one-thread result
-        spans = []
-        scan_range = kern._scan_range
-
-        def recording(work, lo, hi, s, chunk, *rest):
-            spans.append((lo, hi, chunk))
-            return scan_range(work, lo, hi, s, chunk, *rest)
-
+        # each running the default chunk, and the one-thread result
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        lo, hi = nonce - 8191, nonce + 100
-        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        lo, hi = nonce - 40000, nonce + 100
+        one = kern.scan(work, lo, hi, threads=1)
+        span_log()
         monkeypatch.setattr(kern, "CPUS", 2)
-        monkeypatch.setattr(kern, "_scan_range", recording)
-        many = kern.scan(work, lo, hi, threads=64, chunk=1024)
-        spans.sort()
+        many = kern.scan(work, lo, hi, threads=64)
+        spans = span_log()
         assert len(spans) == 2
         assert spans[0][0] == lo and spans[-1][1] == hi
         assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
+        assert all(chunk == kern.DEFAULT_CHUNK and b - a + 1 >= chunk for a, b, chunk in spans)
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert self._counters(many) == self._counters(one)
 
     def test_span_claims_under_contention(self, monkeypatch):
-        # 32 threads asked for on eight CPUs: eight spans, one each for seven
-        # pool workers and the calling thread, switching every 10 us; a span
-        # scanned twice or never changes the exhaustive counters, and a lost
-        # lowest-found update can hand the win to a higher span
+        # 32 threads asked for on eight CPUs: eight spans, the calling
+        # thread's and seven child processes, forked from a worker thread
+        # while the interpreter switches threads every 10 us; a span scanned
+        # twice or never changes the exhaustive counters, and a lost or
+        # misread found byte can hand the win to a higher span
         monkeypatch.setattr(kern, "CPUS", 8)
         base = random.Random(SEED + 37).randbytes(80)
         none = kern.prepare_header_work(base, target=1)
@@ -404,6 +412,56 @@ class TestScanDecisions:
             assert self._counters(got_none) == self._counters(want_none)
             assert got_some.found == want_some.found
             assert want_some.nonces_tried <= got_some.nonces_tried <= 2048
+
+    def test_failed_child_span_raises(self, monkeypatch, forks):
+        # a span that raises in its child fails the whole scan, never a short
+        # result, and the child is reaped
+        scan_range = kern._scan_range
+
+        def failing(work, lo, hi, *rest):
+            if lo:
+                raise MemoryError("no bank")
+            return scan_range(work, lo, hi, *rest)
+
+        monkeypatch.setattr(kern, "CPUS", 2)
+        monkeypatch.setattr(kern, "_scan_range", failing)
+        work = kern.prepare_header_work(random.Random(SEED + 38).randbytes(80), target=1)
+        with pytest.raises(RuntimeError, match=r"span 1 \(nonces 2048\.\.4095\) failed "
+                                               r"in its child process: MemoryError: no bank"):
+            kern.scan(work, 0, 4095, threads=2, chunk=1024)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupted_scan_reaps_children(self, monkeypatch, forks):
+        # the calling thread's span is interrupted while the child's still
+        # runs: the scan kills the child and reaps it before it raises
+        def interrupted(work, lo, hi, *rest):
+            if lo == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(kern, "CPUS", 2)
+        monkeypatch.setattr(kern, "_scan_range", interrupted)
+        work = kern.prepare_header_work(random.Random(SEED + 39).randbytes(80), target=1)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            kern.scan(work, 0, 4095, threads=2)
+        assert len(forks) == 1 and time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_write_nothing(self, monkeypatch, forks, tmp_path, capfd):
+        # a child leaves with os._exit: it writes nothing to stdout or stderr
+        # and does not flush a copy of the parent's unwritten buffers
+        monkeypatch.setattr(kern, "CPUS", 2)
+        work = kern.prepare_header_work(random.Random(SEED + 40).randbytes(80), target=1)
+        with open(tmp_path / "out", "w") as out:
+            out.write("written once")
+            assert kern.scan(work, 0, 4095, threads=2, chunk=1024).nonces_tried == 4096
+        assert len(forks) == 1
+        assert (tmp_path / "out").read_text() == "written once"
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -493,26 +551,36 @@ class TestScanDecisions:
                 kern.scan(work, lo, hi)
 
 class TestChunkRule:
-    """Without a chunk the scan picks one from the spans that run; the chunk
-    never changes what a scan finds or counts."""
+    """Every span runs the chunk given, :data:`kernel.DEFAULT_CHUNK` without
+    one, whatever the thread count; the chunk never changes what a scan
+    finds or counts."""
 
     @staticmethod
     def _outcome(res):
         return (res.found, res.nonces_tried, res.rounds_executed,
                 res.stage1_survivors, res.stage2_survivors)
 
-    @pytest.mark.parametrize("threads, chunk", [(1, 1 << 14), (2, 1 << 16), (3, 1 << 16)])
-    def test_default_follows_threads(self, threads, chunk, monkeypatch):
-        monkeypatch.setattr(kern, "CPUS", 2)
-        assert kern.effective_chunk(threads) == chunk
-        # on one CPU every thread count runs one span
-        monkeypatch.setattr(kern, "CPUS", 1)
-        assert kern.effective_chunk(threads) == 1 << 14
+    @pytest.mark.parametrize("threads, chunk", [(1, 1 << 14), (2, 1 << 14), (3, 1 << 14)])
+    def test_default_follows_threads(self, threads, chunk, monkeypatch, span_log):
+        # spans in child processes do not contend for the GIL, so the
+        # default chunk is the same on every span at every thread count
+        work = kern.prepare_header_work(random.Random(SEED + 45).randbytes(80), 1)
+        for cpus in (2, 1):  # on one CPU every thread count runs one span
+            monkeypatch.setattr(kern, "CPUS", cpus)
+            assert kern.scan(work, 0, 2 * chunk - 1, threads=threads).nonces_tried == 2 * chunk
+            spans = span_log()
+            assert len(spans) == min(threads, cpus)
+            assert {c for _, _, c in spans} == {chunk}
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])
-    def test_explicit_chunk_kept(self, threads, chunk):
-        assert kern.effective_chunk(threads, chunk) == chunk
+    def test_explicit_chunk_kept(self, threads, chunk, monkeypatch, span_log):
+        monkeypatch.setattr(kern, "CPUS", 2)
+        work = kern.prepare_header_work(random.Random(SEED + 45).randbytes(80), 1)
+        assert kern.scan(work, 0, 99, threads=threads, chunk=chunk).nonces_tried == 100
+        spans = span_log()
+        assert len(spans) == min(threads, 2)
+        assert {c for _, _, c in spans} == {chunk}
 
     @pytest.mark.parametrize("chunk", [0, (1 << 20) + 1])
     def test_chunk_out_of_bounds_rejected(self, chunk):
@@ -526,7 +594,7 @@ class TestChunkRule:
     def test_early_exit_exhaustive_scan_same_at_any_chunk(self):
         work = kern.prepare_header_work(random.Random(SEED + 42).randbytes(80), 1 << 155)
         results = [kern.scan(work, 0, (1 << 17) - 1, threads=1, chunk=c)
-                   for c in (None, 1 << 14, 1 << 16)]
+                   for c in (1 << 12, 1 << 14, 1 << 16)]
         assert results[0].found is None and results[0].nonces_tried == 1 << 17
         assert len({self._outcome(r) for r in results}) == 1
 
@@ -534,7 +602,7 @@ class TestChunkRule:
         base = random.Random(SEED + 43).randbytes(80)
         work = kern.prepare_header_work(base, 1 << 240)
         results = [kern.scan(work, 0, 0x3FFFF, improvements=GENERIC, threads=1, chunk=c)
-                   for c in (None, 1 << 14, 1 << 16)]
+                   for c in (1 << 12, 1 << 14, 1 << 16)]
         found = results[0].found
         assert found is not None
         assert results[0].nonces_tried == found.nonce + 1
@@ -770,6 +838,15 @@ class TestLaneSeam:
             assert np.shares_memory(narrow.bank, lanes.bank)
             self._check(narrow, work, pos + 300, 77, s)
         assert passed > len(self.COVER)
+
+    @pytest.mark.parametrize("width", [1, 77, 1 << 14])
+    def test_bank_rows_start_on_cache_lines(self, width):
+        # numpy's loops ran a chunk about 15% slower with the rows 16 bytes
+        # off a 32-byte boundary, so no row may start where malloc happens to
+        for s in (FULL, costs.ImprovementSet.none()):
+            bank = kern._Lanes(_SPLIT_WORK, s, width).bank
+            assert bank.shape == (30 if "1" in s else 38, width)
+            assert all(row.ctypes.data % 64 == 0 for row in bank)
 
     def test_shorter_last_chunk_reuses_the_bank(self, monkeypatch):
         made = []

@@ -434,6 +434,9 @@ def main(argv=None) -> int:
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # Ctrl-C: one line, no traceback
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

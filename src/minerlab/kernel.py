@@ -129,7 +129,7 @@ class PreparedWork:
     """Everything nonce-independent, computed once per work item: the
     reference run at nonce 0.
 
-    Immutable and safe to share across concurrent scanners.
+    Immutable: a forked span reads its copy and changes nothing.
     """
 
     midstate: sha.State
@@ -148,8 +148,9 @@ class FoundNonce:
 
 @dataclass
 class ScanResult:
-    """A scan's find and counters.  Each worker of :func:`scan` fills one,
-    and the scan returns their sum."""
+    """A scan's find and counters.  Each span of :func:`scan` fills one,
+    in the calling process or in a forked child that pickles it back, and
+    the scan returns their sum."""
 
     found: FoundNonce | None = None
     nonces_tried: int = 0
@@ -452,6 +453,9 @@ def _fork_span(run, idx: int) -> tuple:
     # the child never returns into the caller, never writes to stdout or
     # stderr, and leaves without flushing the buffers it inherited
     try:
+        # a terminal's Ctrl-C reaches the whole process group: the parent
+        # alone ends the scan, and kills and reaps this child
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
             report = run(idx)
         except BaseException as exc:

@@ -4,10 +4,13 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -341,6 +344,20 @@ class TestReports:
         assert report["cap_delta_satoshis"] == "2310000"
         assert report["exact_btc"] == "20999999.99877764"
 
+    @pytest.mark.parametrize("schedule", ["original", "proposed"])
+    def test_supply_prints_the_rational_closed_form(self, schedule, capsys):
+        # perfbench's supply grid, the smooth start and the deep heights up
+        # to the limit: exact_btc is the exact rational, correctly rounded
+        grid = [max(1, min(2**25, round(math.exp((j + 0.5) / 16 * math.log(2**25)))))
+                for j in range(16)]
+        heights = grid + [420_000, 420_001, 420_336, 10**7, 5 * 10**7, 10**8]
+        printed, want = {}, {}
+        for h in heights:
+            assert run_cli("supply", "--schedule", schedule, "--height", str(h)) == 0
+            printed[h] = kv(capsys)["exact_btc"]
+            want[h] = f"{float(_rational_supply(h, schedule)):.8f}"
+        assert printed == want
+
     def test_table_text(self, capsys):
         assert run_cli("table") == 0
         out = capsys.readouterr().out
@@ -418,6 +435,16 @@ class TestReports:
             assert hdr.difficulty_of(expected) == pytest.approx(float(row["difficulty"]))
             previous = int(row["nbits"], 16)
 
+def _rational_supply(t: int, schedule: str) -> Fraction:
+    # the supply closed forms as Fractions: 50 * 2^-f BTC a block in era f,
+    # and 25 * (624/625)^m in smooth period m from height 420,000 on
+    if schedule == "proposed" and t > 420_000:
+        m, partial = divmod(t - 420_000, 336)
+        decay = Fraction(624, 625)
+        return 21_000_000 - (336 / (1 - decay) - partial) * 25 * decay**m
+    f, partial = divmod(min(t, 34 * 210_000), 210_000)
+    return 21_000_000 - Fraction(50 * (420_000 - partial), 1 << f)
+
 class TestUsage:
     def test_no_subcommand_exits_2(self):
         assert run_cli() == 2
@@ -461,6 +488,35 @@ class TestUsage:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             assert proc.stderr.read() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+    def test_ctrl_c_ends_a_scan_in_one_line(self):
+        # a terminal's Ctrl-C signals the whole process group: the scanning
+        # parent and, with two CPUs, the child process of the upper span
+        with subprocess.Popen(
+            [sys.executable, "-m", "minerlab", "mine", "--header", FIXTURE_HEADER,
+             "--target", "1", "--threads", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        ) as proc:
+            try:
+                # 1.5 s of CPU is well past the imports (about 0.25 s): the lanes run
+                deadline = time.monotonic() + 120
+                while _cpu_seconds(proc.pid) < 1.5:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+                assert (proc.returncode, out, err) == (1, "", "error: interrupted\n")
+                with pytest.raises(ProcessLookupError):  # no span's child outlives the scan
+                    os.killpg(proc.pid, 0)
+            finally:  # a failed check leaves no scan running for hours
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
+def _cpu_seconds(pid: int) -> float:
+    # utime and stime, the 12th and 13th fields after the parenthesised name
+    fields = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 class TestInputChecks:
     @pytest.mark.parametrize("argv", [

@@ -62,8 +62,8 @@ every call, about 0.5 us of a 1.2 us call.  Ch is g ^ (e & (f ^ g)) and
 Maj (a & b) | (c & (a | b)), 3 and 4 calls where the textbook forms take
 4 and 5.
 
-Cost instrumentation counts block-cipher rounds; one :class:`ScanResult`
-per span holds them, and :func:`scan` returns the sum, whose
+Cost instrumentation counts block-cipher rounds in the
+:class:`ScanResult` that :func:`scan` returns, whose
 ``compressions_equivalent`` is the count in units of whole 64-round
 compressions per nonce.  The rounds are counted from the rounds the lanes
 run: each compression returns how many it ran, and the chunk adds the
@@ -76,8 +76,11 @@ checks them over every lane set and pins the ufunc calls per chunk;
 README's "Performance notes" tables them.
 
 numpy takes the GIL back after every ufunc call, so span threads would
-queue on it: :func:`scan` runs its lowest span on the calling thread and
-each higher span in a child process made with ``os.fork``.
+queue on it: :func:`scan` runs span 0 on the calling thread and each other
+span in a child process made with ``os.fork``.  It deals the range's chunks
+in nonce order, chunk k to span k mod spans; a span stops before a chunk
+that starts above a find any span has published, and the counters end at
+the winner, so the result is the same at every thread count.
 """
 
 from __future__ import annotations
@@ -148,9 +151,8 @@ class FoundNonce:
 
 @dataclass
 class ScanResult:
-    """A scan's find and counters.  Each span of :func:`scan` fills one,
-    in the calling process or in a forked child that pickles it back, and
-    the scan returns their sum."""
+    """A scan's find and counters, which cover the nonces from the start
+    of the range up to the find, or the whole range without one."""
 
     found: FoundNonce | None = None
     nonces_tried: int = 0
@@ -401,50 +403,40 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
-def _scan_range(work, lo, hi, s, chunk, should_abort) -> ScanResult:
-    """Scan ``lo..hi`` up to its first find: the find and the counts of the
-    nonces consumed."""
-    res = ScanResult()
-    lanes = _Lanes(work, s, min(chunk, hi - lo + 1))
+def _scan_range(work, starts: range, hi, s, chunk, should_stop) -> tuple:
+    """Scan the chunks of ``chunk`` nonces that begin at ``starts``, in
+    order and none past ``hi``, up to the span's first find or the first
+    start ``should_stop`` refuses.  The report holds nothing per chunk: the
+    find, the rounds each lane ran, and each referee'd survivor as
+    ``(nonce, extra rounds, passed round 61)``."""
+    lanes = _Lanes(work, s, min(chunk, hi - starts[0] + 1))
     early = "2" in s
     stage2_active = work.target < WORD6_TARGET_BOUND
-    pos = lo
-    while pos <= hi and res.found is None and not should_abort():
+    per_lane, survivors = 0, []
+    for pos in starts:
+        if should_stop(pos):
+            break
         m = min(chunk, hi - pos + 1)
-        if m < lanes.bank.shape[1]:  # the span's shorter last chunk, on the same bank
+        if m < lanes.bank.shape[1]:  # the range's shorter last chunk, on the same bank
             lanes = _Lanes(work, s, m, lanes.bank)
         candidates, per_lane = lanes.chunk(pos)
         for lane in candidates:
             digest = complete_nonce(work, pos + lane)  # scalar referee
             if early:
-                res.stage1_survivors += 1
-                if stage2_active and digest[24:28] != bytes(4):
-                    res.rounds_executed += 1  # round 61 rejects it: word 6 is nonzero
+                # round 61 rejects it when word 6 is nonzero; else rounds 61..63 finish
+                passed = not stage2_active or digest[24:28] == bytes(4)
+                survivors.append((pos + lane, 3 if passed else 1, passed and stage2_active))
+                if not passed:
                     continue
-                res.stage2_survivors += stage2_active
-                res.rounds_executed += 3  # rounds 61..63 finish the compression
             if meets_target(digest, work.target):
-                res.found = FoundNonce(pos + lane, digest)
-                m = lane + 1  # the lanes past the find are not consumed
-                break
-        res.nonces_tried += m
-        res.rounds_executed += per_lane * m
-        pos += m
-    return res
-
-
-def _span(lo: int, hi: int, parts: int, idx: int) -> tuple[int, int]:
-    """Span ``idx`` of ``lo..hi`` cut into ``parts`` contiguous spans; the
-    first ``(hi - lo + 1) % parts`` are one nonce longer."""
-    base, rem = divmod(hi - lo + 1, parts)
-    start = lo + idx * base + min(idx, rem)
-    return start, start + base - (idx >= rem)
+                return FoundNonce(pos + lane, digest), per_lane, survivors
+    return None, per_lane, survivors
 
 
 def _fork_span(run, idx: int) -> tuple:
     """Run ``run(idx)`` in a child process: its pid and the read end of the
-    pipe that brings back the pickled :class:`ScanResult`, or a message if
-    the span raised."""
+    pipe that brings back the pickled report, or a message if the span
+    raised."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
@@ -467,18 +459,18 @@ def _fork_span(run, idx: int) -> tuple:
         os._exit(1)
 
 
-def _join_span(children: dict, idx: int, span: tuple[int, int]) -> ScanResult:
+def _join_span(children: dict, idx: int, spans: int, first: int) -> tuple:
     """Read span ``idx``'s report, reap its child and drop it from
-    ``children``; raise unless the child exited 0 with a :class:`ScanResult`."""
+    ``children``; raise unless the child exited 0 with a report."""
     pid, pipe = children[idx]
     data = pipe.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     del children[idx]
     pipe.close()
     report = pickle.loads(data) if status == 0 else f"exit status {status}"
-    if not isinstance(report, ScanResult):
-        raise RuntimeError(f"span {idx} (nonces {span[0]}..{span[1]}) failed in its "
-                           f"child process: {report}")
+    if isinstance(report, str):
+        raise RuntimeError(f"span {idx} of {spans} (first chunk at nonce {first}) failed "
+                           f"in its child process: {report}")
     return report
 
 
@@ -500,17 +492,19 @@ def scan(
     the set holds flag 2 and ``generic`` otherwise).  Every span runs
     ``chunk`` lanes per numpy call, at most :data:`MAX_CHUNK`.
 
-    The range is split into ``threads`` contiguous spans, but never more
-    than :data:`CPUS`: the calling thread scans the lowest span and a child
-    process made with ``os.fork`` each of the others (one span where the OS
-    has no ``fork``).  Span ``i`` sets byte ``i`` of a shared anonymous
-    ``mmap`` when it finds, and a span stops at its next chunk once a lower
-    byte is set.  Each child sends its result back through a pipe; the merge
-    takes the minimum found nonce, so partitioning never changes the
-    winner, and sums the counters, which cover the nonces each span
-    actually consumed.  No child outlives the call: a child whose span
-    raises makes the scan raise, and if the calling thread raises, the
-    children are killed and reaped.
+    Chunk k of the range starts at ``nonce_lo + k * chunk`` and goes to
+    span ``k mod spans``, with ``min(threads, chunks, CPUS)`` spans (one
+    where the OS has no ``fork``); each span walks its chunks in ascending
+    order.  A span publishes its find with one aligned store to its own
+    32-bit slot of a shared anonymous ``mmap``, and stops before any chunk
+    that starts above a published find: every chunk at or below the winner
+    is scanned, so the minimum find is the smallest qualifying nonce.  The
+    counters cover ``nonce_lo`` up to the winner, or the whole range: as
+    one span does not consume the lanes past its find, chunks run above the
+    winner are not counted, and every thread count gives the same result.
+    Each child sends its report back through a pipe.  No child outlives
+    the call: a child whose span raises makes the scan raise, and if the
+    calling thread raises, the children are killed and reaped.
     """
     if not (0 <= nonce_lo <= sha.MASK32 and 0 <= nonce_hi <= sha.MASK32):
         raise ValueError(f"nonces must lie in the 32-bit range [0, {sha.MASK32}], "
@@ -522,38 +516,44 @@ def scan(
     if nonce_lo > nonce_hi:
         return ScanResult()
 
-    parts = min(threads, nonce_hi - nonce_lo + 1, CPUS if hasattr(os, "fork") else 1)
-    spans = [_span(nonce_lo, nonce_hi, parts, idx) for idx in range(parts)]
-    found = mmap.mmap(-1, parts)  # byte i is set once span i finds
+    chunks = -(-(nonce_hi - nonce_lo + 1) // chunk)
+    spans = min(threads, chunks, CPUS if hasattr(os, "fork") else 1)
+    shared = mmap.mmap(-1, 4 * spans)
+    shared.write(b"\xff" * 4 * spans)  # slot i: span i's find, 0xFFFFFFFF until then
+    finds = memoryview(shared).cast("I")
 
-    def run(idx: int) -> ScanResult:
-        # a find in a lower span always wins; stop wasting work
-        res = _scan_range(work, *spans[idx], improvements, chunk, lambda: any(found[:idx]))
-        if res.found is not None:
-            found[idx] = 1
-        return res
+    def run(idx: int) -> tuple:
+        report = _scan_range(work, range(nonce_lo + idx * chunk, nonce_hi + 1, spans * chunk),
+                             nonce_hi, improvements, chunk, lambda start: min(finds) < start)
+        if report[0] is not None:
+            finds[idx] = report[0].nonce
+        return report
 
     children = {}  # span index -> (pid, pipe from the child) until the child is reaped
     try:
-        for idx in range(1, parts):
+        for idx in range(1, spans):
             children[idx] = _fork_span(run, idx)
-        results = [run(0)]
-        for idx in range(1, parts):
-            results.append(_join_span(children, idx, spans[idx]))
+        reports = [run(0)]
+        for idx in range(1, spans):
+            reports.append(_join_span(children, idx, spans, nonce_lo + idx * chunk))
     finally:
         for pid, pipe in children.values():  # left only when the scan raised
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-        found.close()
+        finds.release()
+        shared.close()
 
+    found = min((r[0] for r in reports if r[0] is not None), key=lambda f: f.nonce, default=None)
+    last = nonce_hi if found is None else found.nonce
+    counted = [sv for r in reports for sv in r[2] if sv[0] <= last]
     return ScanResult(
-        found=min((r.found for r in results if r.found is not None),
-                  key=lambda f: f.nonce, default=None),
-        nonces_tried=sum(r.nonces_tried for r in results),
-        rounds_executed=sum(r.rounds_executed for r in results),
-        stage1_survivors=sum(r.stage1_survivors for r in results),
-        stage2_survivors=sum(r.stage2_survivors for r in results),
+        found=found,
+        nonces_tried=last - nonce_lo + 1,
+        # span 0 always runs chunk 0, so its rounds per lane are the scan's
+        rounds_executed=reports[0][1] * (last - nonce_lo + 1) + sum(sv[1] for sv in counted),
+        stage1_survivors=len(counted),
+        stage2_survivors=sum(sv[2] for sv in counted),
     )
 
 

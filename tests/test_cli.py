@@ -492,7 +492,7 @@ class TestUsage:
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
     def test_ctrl_c_ends_a_scan_in_one_line(self):
         # a terminal's Ctrl-C signals the whole process group: the scanning
-        # parent and, with two CPUs, the child process of the upper span
+        # parent and, with two CPUs, the child process of span 1
         with subprocess.Popen(
             [sys.executable, "-m", "minerlab", "mine", "--header", FIXTURE_HEADER,
              "--target", "1", "--threads", "2"],

@@ -48,25 +48,35 @@ def _header_at(base: bytes, nonce_word: int) -> bytes:
 
 @pytest.fixture
 def span_log(tmp_path, monkeypatch):
-    """Reads the ``(lo, hi, chunk)`` of every span scanned since the last read,
-    sorted, in whichever process scanned it: ``_scan_range`` is wrapped to
+    """Reads the ``(starts, hi, chunk)`` of every span scanned since the last
+    read, ``starts`` the range of its chunks' first nonces, sorted by first
+    chunk, in whichever process scanned it: ``_scan_range`` is wrapped to
     append one line per span to a file."""
     path = tmp_path / "spans"
     path.touch()
     scan_range = kern._scan_range
 
-    def recording(work, lo, hi, s, chunk, *rest):
+    def recording(work, starts, hi, s, chunk, *rest):
         with open(path, "a") as log:
-            log.write(f"{lo} {hi} {chunk}\n")
-        return scan_range(work, lo, hi, s, chunk, *rest)
+            log.write(f"{starts.start} {starts.stop} {starts.step} {hi} {chunk}\n")
+        return scan_range(work, starts, hi, s, chunk, *rest)
 
     def read():
         lines = path.read_text().splitlines()
         path.write_text("")
-        return sorted(tuple(map(int, line.split())) for line in lines)
+        spans = sorted(tuple(map(int, line.split())) for line in lines)
+        return [(range(*span[:3]), *span[3:]) for span in spans]
 
     monkeypatch.setattr(kern, "_scan_range", recording)
     return read
+
+def _assert_dealt(spans, lo, hi, chunk):
+    """The logged ``spans`` deal the chunks of ``lo..hi`` in nonce order:
+    chunk k, starting at ``lo + k * chunk``, to span k mod spans."""
+    parts = len(spans)
+    assert [starts for starts, _, _ in spans] == [
+        range(lo + idx * chunk, hi + 1, parts * chunk) for idx in range(parts)]
+    assert all(h == hi and c == chunk for _, h, c in spans)
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -310,26 +320,31 @@ class TestScanDecisions:
         assert one.nonces_tried == 1 << 16
         assert self._counters(three) == self._counters(one)
 
-    def test_winner_in_highest_subrange(self):
-        # the calling thread scans the lowest subrange and exhausts it; the
-        # only winner lies in the last, which a child process scans
+    def test_winner_in_highest_subrange(self, monkeypatch, span_log):
+        # the only winner lies in the last chunk, chunk 8, dealt to the
+        # highest of three spans, which a child process scans; the calling
+        # thread scans chunks 0, 3 and 6 and finds nothing
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        lo, hi = nonce - 8191, nonce + 100
-        assert kern._span(lo, hi, 3, 2)[0] < nonce
+        lo, hi = nonce - 8191 - 50, nonce + 50
         one = kern.scan(work, lo, hi, threads=1, chunk=1024)
+        span_log()
+        monkeypatch.setattr(kern, "CPUS", 3)
         three = kern.scan(work, lo, hi, threads=3, chunk=1024)
+        spans = span_log()
+        _assert_dealt(spans, lo, hi, 1024)
+        assert spans[-1][0][-1] == lo + 8 * 1024 <= nonce <= hi
         assert three.found == one.found
         assert three.found.digest == _dsha(GENESIS)
-        assert one.nonces_tried == 8192
+        assert one.nonces_tried == 8192 + 50
         assert self._counters(three) == self._counters(one)
 
     @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6)])
     def test_spans_capped_at_cpus(self, monkeypatch, span_log, forks, cpus, threads):
         # more threads asked for than the process has CPUs: one span per CPU,
-        # the calling thread's and one per child process, that tile the range
-        # at the full chunk; the winner is in the last span, so the winner and
-        # counters are the one-thread scan's
+        # the calling thread's and one per child process, dealt the range's
+        # chunks at the full chunk; the winner is in the last chunk, so the
+        # winner and counters are the one-thread scan's
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
@@ -338,31 +353,31 @@ class TestScanDecisions:
         monkeypatch.setattr(kern, "CPUS", cpus)
         many = kern.scan(work, lo, hi, threads=threads, chunk=1024)
         spans = span_log()
-        assert len(forks) == cpus - 1
-        assert len(spans) == cpus and spans[-1][0] <= nonce
-        assert spans[0][0] == lo and spans[-1][1] == hi
-        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(chunk == 1024 and b - a + 1 >= chunk for a, b, chunk in spans)
+        assert len(forks) == cpus - 1 and len(spans) == cpus
+        _assert_dealt(spans, lo, hi, 1024)
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert one.nonces_tried == 8192
         assert self._counters(many) == self._counters(one)
 
     def test_spans_past_pool_size_add_no_workers(self, monkeypatch, forks):
-        # 64 threads asked for over 64 nonces on two CPUs: two spans, one of
-        # them in the single child process; the winner is in the last span
+        # 64 threads asked for over 64 nonces on two CPUs: one chunk at the
+        # default chunk, so one span and no child; at chunk 32, two chunks,
+        # so two spans, one of them in the single child process, which scans
+        # the winner's chunk
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         one = kern.scan(work, nonce - 63, nonce, threads=1)
         monkeypatch.setattr(kern, "CPUS", 2)
         many = kern.scan(work, nonce - 63, nonce, threads=64)
-        assert len(forks) == 1
-        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
+        assert forks == []
+        assert many == one and one.found.digest == _dsha(GENESIS)
         assert one.nonces_tried == 64
-        assert self._counters(many) == self._counters(one)
+        assert kern.scan(work, nonce - 63, nonce, threads=64, chunk=32) == one
+        assert len(forks) == 1
 
     def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch, span_log):
-        # 64 threads asked for on two CPUs: two spans that tile the range,
-        # each running the default chunk, and the one-thread result
+        # 64 threads asked for on two CPUs: two spans dealt the range's
+        # chunks, each running the default chunk, and the one-thread result
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 40000, nonce + 100
@@ -372,9 +387,7 @@ class TestScanDecisions:
         many = kern.scan(work, lo, hi, threads=64)
         spans = span_log()
         assert len(spans) == 2
-        assert spans[0][0] == lo and spans[-1][1] == hi
-        assert all(a[1] + 1 == b[0] for a, b in zip(spans, spans[1:]))
-        assert all(chunk == kern.DEFAULT_CHUNK and b - a + 1 >= chunk for a, b, chunk in spans)
+        _assert_dealt(spans, lo, hi, kern.DEFAULT_CHUNK)
         assert many.found == one.found and one.found.digest == _dsha(GENESIS)
         assert self._counters(many) == self._counters(one)
 
@@ -383,7 +396,8 @@ class TestScanDecisions:
         # thread's and seven child processes, forked from a worker thread
         # while the interpreter switches threads every 10 us; a span scanned
         # twice or never changes the exhaustive counters, and a lost or
-        # misread found byte can hand the win to a higher span
+        # misread find can hand the win to a higher nonce or change the
+        # counters, which end at the winner
         monkeypatch.setattr(kern, "CPUS", 8)
         base = random.Random(SEED + 37).randbytes(80)
         none = kern.prepare_header_work(base, target=1)
@@ -410,23 +424,72 @@ class TestScanDecisions:
         assert len(results) == 3
         for got_none, got_some in results:
             assert self._counters(got_none) == self._counters(want_none)
-            assert got_some.found == want_some.found
-            assert want_some.nonces_tried <= got_some.nonces_tried <= 2048
+            assert got_some == want_some
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("chunk", [64, 1000, 4096])
+    def test_threads_equal_one_thread(self, monkeypatch, cpus, chunk):
+        # dealt chunks and counters that end at the winner make a scan on
+        # any number of spans the one-span scan, field for field: the
+        # genesis winner in the first chunk, in a chunk of every span and in
+        # the last chunk, ranges with no find, and finds in several spans at
+        # once, on the full and the none sets
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        genesis = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        never = kern.prepare_header_work(GENESIS, 1)
+        rng = random.Random(SEED + 47 + 7 * cpus + chunk)
+        cases = []
+        for k in range(cpus + 2):  # the winner in chunk k, dealt to span k mod cpus
+            lo = nonce - k * chunk - rng.randrange(chunk)
+            cases.append((genesis, lo, lo + (cpus + 2) * chunk + rng.randrange(chunk)))
+        # the winner in the last chunk, chunk cpus + 1, which a child scans
+        cases.append((genesis, lo, nonce + rng.randrange(lo + (cpus + 2) * chunk - nonce)))
+        lo = rng.randrange(1 << 31)
+        cases += [(genesis, nonce + 1, nonce + cpus * chunk + rng.randrange(chunk)),
+                  (never, lo, lo + cpus * chunk + rng.randrange(chunk))]
+        # about one find per cpus chunks, so spans also find above the winner
+        some = kern.prepare_header_work(GENESIS, (1 << 256) // (cpus * chunk))
+        for start in range(lo, lo + 9 * cpus * chunk, 3 * cpus * chunk):
+            cases.append((some, start, start + 4 * cpus * chunk))
+        monkeypatch.setattr(kern, "CPUS", cpus)
+        for work, lo, hi in cases:
+            for s in (FULL, costs.ImprovementSet.none()):
+                one = kern.scan(work, lo, hi, improvements=s, threads=1, chunk=chunk)
+                assert kern.scan(work, lo, hi, improvements=s, threads=cpus, chunk=chunk) == one
+                assert one.nonces_tried == (hi if one.found is None else one.found.nonce) - lo + 1
+                if work is genesis:
+                    assert (one.found is not None) == (lo <= nonce <= hi)
+
+    def test_span_reports_hold_nothing_per_chunk(self, monkeypatch):
+        # a span reports its find, the rounds each lane ran and its
+        # survivors, however many chunks it scanned
+        reports = []
+        scan_range = kern._scan_range
+
+        def recording(*args):
+            reports.append(scan_range(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(kern, "_scan_range", recording)
+        work = kern.prepare_header_work(random.Random(SEED + 48).randbytes(80), target=1)
+        for chunks in (1, 64):
+            assert kern.scan(work, 0, 32 * chunks - 1, chunk=32).nonces_tried == 32 * chunks
+        assert reports == [(None, costs.executed_rounds(FULL) + 1, [])] * 2
 
     def test_failed_child_span_raises(self, monkeypatch, forks):
         # a span that raises in its child fails the whole scan, never a short
         # result, and the child is reaped
         scan_range = kern._scan_range
 
-        def failing(work, lo, hi, *rest):
-            if lo:
+        def failing(work, starts, *rest):
+            if starts.start:
                 raise MemoryError("no bank")
-            return scan_range(work, lo, hi, *rest)
+            return scan_range(work, starts, *rest)
 
         monkeypatch.setattr(kern, "CPUS", 2)
         monkeypatch.setattr(kern, "_scan_range", failing)
         work = kern.prepare_header_work(random.Random(SEED + 38).randbytes(80), target=1)
-        with pytest.raises(RuntimeError, match=r"span 1 \(nonces 2048\.\.4095\) failed "
+        with pytest.raises(RuntimeError, match=r"span 1 of 2 \(first chunk at nonce 1024\) failed "
                                                r"in its child process: MemoryError: no bank"):
             kern.scan(work, 0, 4095, threads=2, chunk=1024)
         assert len(forks) == 1
@@ -436,8 +499,8 @@ class TestScanDecisions:
     def test_interrupted_scan_reaps_children(self, monkeypatch, forks):
         # the calling thread's span is interrupted while the child's still
         # runs: the scan kills the child and reaps it before it raises
-        def interrupted(work, lo, hi, *rest):
-            if lo == 0:
+        def interrupted(work, starts, *rest):
+            if starts.start == 0:
                 raise KeyboardInterrupt
             time.sleep(60)
 
@@ -446,7 +509,7 @@ class TestScanDecisions:
         work = kern.prepare_header_work(random.Random(SEED + 39).randbytes(80), target=1)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            kern.scan(work, 0, 4095, threads=2)
+            kern.scan(work, 0, 4095, threads=2, chunk=1024)
         assert len(forks) == 1 and time.monotonic() - started < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -575,9 +638,14 @@ class TestChunkRule:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("chunk", [1000, 1 << 14, 1 << 16])
     def test_explicit_chunk_kept(self, threads, chunk, monkeypatch, span_log):
+        # 100 nonces are one chunk, so one span at any thread count; one
+        # chunk more makes two chunks, and as many spans as the CPUs allow
         monkeypatch.setattr(kern, "CPUS", 2)
         work = kern.prepare_header_work(random.Random(SEED + 45).randbytes(80), 1)
         assert kern.scan(work, 0, 99, threads=threads, chunk=chunk).nonces_tried == 100
+        assert [c for _, _, c in span_log()] == [chunk]
+        two = kern.scan(work, 0, chunk + 99, threads=threads, chunk=chunk)
+        assert two.nonces_tried == chunk + 100
         spans = span_log()
         assert len(spans) == min(threads, 2)
         assert {c for _, _, c in spans} == {chunk}

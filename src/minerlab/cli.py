@@ -40,12 +40,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _csv_rows(rows) -> None:
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _emit(pairs, fmt: str) -> None:
     """``key: value`` lines for ``kv``; a header row and a value row for ``csv``."""
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(k for k, _ in pairs)
-        writer.writerow(v for _, v in pairs)
+        _csv_rows(zip(*pairs))
     else:
         for k, v in pairs:
             print(f"{k}: {v}")
@@ -61,6 +63,10 @@ def _parse_int(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer (decimal, or 0x hex), got {text!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    return [_parse_int(item) for item in text.split(",")]
 
 
 def _positive_int(text: str) -> int:
@@ -250,17 +256,11 @@ def cmd_supply(args) -> int:
 
 
 def cmd_table(args) -> int:
-    heights = None
-    if args.heights is not None:
-        heights = [_parse_int(h) for h in args.heights.split(",")]
-    rows = rw.schedule_table(heights)
+    rows = rw.schedule_table(args.heights)
     if args.format == "csv":
-        print("height,old_btc,new_btc,old_sat,new_sat")
-        for r in rows:
-            print(
-                f"{r.height},{_btc_str(r.old_satoshis)},{_btc_str(r.new_satoshis)},"
-                f"{r.old_satoshis},{r.new_satoshis}"
-            )
+        _csv_rows([("height", "old_btc", "new_btc", "old_sat", "new_sat")]
+                  + [(r.height, _btc_str(r.old_satoshis), _btc_str(r.new_satoshis),
+                      r.old_satoshis, r.new_satoshis) for r in rows])
         return EXIT_OK
     print(f"{'height':>9}  {'old BTC':>12}  {'new BTC':>12}  {'published':>9}  {'delta':>9}")
     for r in rows:
@@ -314,20 +314,19 @@ def cmd_energy(args) -> int:
 def cmd_retarget_sim(args) -> int:
     target = hdr.decode_nbits(args.nbits)
     steps = []  # the whole walk first, so a bad step fails before anything prints
-    for span in map(_parse_int, args.spans.split(",")):
+    for span in args.spans:
         # each step starts from the compact target the network stored
         nbits = hdr.encode_nbits(rw.retarget(target, span))
         target = hdr.decode_nbits(nbits)
         steps.append((span, target, nbits, hdr.difficulty_of(target)))
     if args.format == "csv":
-        print("step,span_s,target,nbits,difficulty")
-    else:
-        print(f"{'step':>4}  {'span_s':>9}  {'nbits':>8}  {'difficulty':>14}")
+        _csv_rows([("step", "span_s", "target", "nbits", "difficulty")]
+                  + [(i, span, f"{target:064x}", f"{nbits:08x}", f"{difficulty:.6f}")
+                     for i, (span, target, nbits, difficulty) in enumerate(steps)])
+        return EXIT_OK
+    print(f"{'step':>4}  {'span_s':>9}  {'nbits':>8}  {'difficulty':>14}")
     for i, (span, target, nbits, difficulty) in enumerate(steps):
-        if args.format == "csv":
-            print(f"{i},{span},{target:064x},{nbits:08x},{difficulty:.6f}")
-        else:
-            print(f"{i:>4}  {span:>9}  {nbits:08x}  {difficulty:>14.6f}")
+        print(f"{i:>4}  {span:>9}  {nbits:08x}  {difficulty:>14.6f}")
     return EXIT_OK
 
 
@@ -389,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_supply)
 
     p = sub.add_parser("table", help="old versus proposed subsidy table")
-    p.add_argument("--heights", help="comma-separated heights (default: standard grid)")
+    p.add_argument("--heights", type=_int_list,
+                   help="comma-separated heights (default: standard grid)")
     add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_table)
 
@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retarget-sim", help="difficulty retarget walk-through")
     p.add_argument("--nbits", type=_nbits_hex, required=True,
                    help="8-char compact target hex start")
-    p.add_argument("--spans", required=True, help="comma-separated window spans in seconds")
+    p.add_argument("--spans", type=_int_list, required=True,
+                   help="comma-separated window spans in seconds")
     add_format(p, ("text", "csv"))
     p.set_defaults(func=cmd_retarget_sim)
 
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_NEGATIVE
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:  # Ctrl-C: one line, no traceback

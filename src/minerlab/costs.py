@@ -68,10 +68,6 @@ class ImprovementSet:
                 raise ValueError(f"improvement {flag} requires {needed}")
 
     @classmethod
-    def of(cls, *flags: str) -> "ImprovementSet":
-        return cls(frozenset(flags))
-
-    @classmethod
     def none(cls) -> "ImprovementSet":
         return cls(frozenset())
 

@@ -21,10 +21,10 @@ in closed form:
 Each schedule is one table of equal periods built on first use: 33 eras of
 210,000 blocks, or 1,250 + 13,947 periods of 336 blocks, each period's
 rounded subsidy and the prefix sums of them. Rounded rewards, supplies and
-all-time totals are lookups in it. Exact supplies are closed forms in exact
-decimals: 1/2 and 624/625 = 0.9984 are finite decimals, so each supply is
-one, and decimal multiplies its million-digit powers several times faster
-than Fraction builds 625^m. Floats appear only in display helpers.
+all-time totals are lookups in it. Every exact value is a ``Decimal`` in
+one context, ``_EXACT``, that never rounds: the ratios 1/2 and 624/625 =
+0.9984 are finite decimals, so every exact supply, total and pre-rounding
+subsidy is one. Floats appear only in display helpers.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from fractions import Fraction
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, Inexact,
+                     localcontext)
 from typing import Iterator, Literal, Sequence
 
 SATOSHI_PER_BTC = 100_000_000
@@ -43,18 +43,19 @@ CAP_SATOSHIS = CAP_BTC * SATOSHI_PER_BTC
 HALVING_INTERVAL = 210_000
 INITIAL_REWARD_SATOSHIS = 50 * SATOSHI_PER_BTC
 LAST_NONZERO_HALVING = 32  # 50e8 >> 33 == 0
+HALVING_RATIO = Decimal("0.5")
 
 SMOOTH_START_HEIGHT = 420_000
 SMOOTH_PERIOD = 336
 SMOOTH_START_PERIOD = SMOOTH_START_HEIGHT // SMOOTH_PERIOD  # 1250
 SMOOTH_BASE_SATOSHIS = 25 * SATOSHI_PER_BTC
-DECAY = Fraction(624, 625)
+DECAY = Decimal("0.9984")  # 624/625
 
 RETARGET_SPAN_SECONDS = 2016 * 600  # one window of 2016 blocks at 10 minutes
 RETARGET_CLAMP = 4  # a retarget moves the target by at most this factor
 
 MAX_SUPPLY_HEIGHT = 100_000_000  # the exact supply has 1.19 M digits here, about 0.07 s
-# exact supplies: with no precision limit no result rounds, and Inexact raises if one would
+# exact values: with no precision limit no result rounds, and Inexact raises if one would
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 ScheduleKind = Literal["original", "proposed"]
@@ -72,30 +73,10 @@ PUBLISHED_NEW_SATOSHIS = {
 }
 
 
-def _check_height(t: int) -> None:
-    if t < 0:
-        raise ValueError("height must be nonnegative")
-
-
 def reward_original(t: int) -> int:
     """Subsidy at height ``t`` under the halving rule, in satoshis: the
     deployed right shift ``50e8 >> f`` of era f, zero from era 33 on."""
     return _lookup(t, "original")[0]
-
-
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def smooth_reward_exact(t: int) -> Fraction:
-    """Pre-rounding proposed subsidy in satoshis, as an exact rational."""
-    _check_height(t)
-    if t < HALVING_INTERVAL:
-        return Fraction(INITIAL_REWARD_SATOSHIS)
-    if t < SMOOTH_START_HEIGHT:
-        return Fraction(SMOOTH_BASE_SATOSHIS)
-    j = t // SMOOTH_PERIOD - SMOOTH_START_PERIOD
-    return SMOOTH_BASE_SATOSHIS * DECAY**j
 
 
 def reward_proposed(t: int) -> int:
@@ -106,9 +87,10 @@ def reward_proposed(t: int) -> int:
 
 
 # Rounded per-period satoshi values via 128-bit fixed point. The scaled
-# value is tracked with a one-sided error bound (floor division loses at
-# most one scaled unit per step); if a rounding decision were ever
-# ambiguous at that precision the exact rational is consulted instead.
+# value ``lo`` is a lower bound, and the true value lies in [lo, lo + slack]:
+# each step scales the bound by 624/625 rounded up and adds the one scaled
+# unit the floor division can lose. If the two ends round apart, the exact
+# decimal 25e8 * 0.9984^j is rounded instead.
 _SCALE_BITS = 128
 _HALF = 1 << (_SCALE_BITS - 1)
 
@@ -122,12 +104,13 @@ def _smooth_period_satoshis() -> Iterator[int]:
         r_lo = (lo + _HALF) >> _SCALE_BITS
         r_hi = (lo + slack + _HALF) >> _SCALE_BITS
         if r_lo != r_hi:
-            r_lo = _round_half_up(smooth_reward_exact((SMOOTH_START_PERIOD + j) * SMOOTH_PERIOD))
+            with localcontext(_EXACT):
+                r_lo = int((SMOOTH_BASE_SATOSHIS * DECAY**j).to_integral_value(ROUND_HALF_UP))
         if r_lo == 0:
             return
         yield r_lo
         lo = lo * 624 // 625
-        slack = slack * 624 // 625 + 1
+        slack = -(-slack * 624 // 625) + 1
         j += 1
 
 
@@ -153,7 +136,8 @@ def _lookup(t: int, kind: ScheduleKind) -> tuple[int, int]:
     """The rounded subsidy at height ``t`` and the rounded issuance of
     heights 0 .. t-1: whole periods from the prefix sums, then the partial
     period at its subsidy."""
-    _check_height(t)
+    if t < 0:
+        raise ValueError("height must be nonnegative")
     period, rewards, before = _periods(kind)
     j = min(t // period, len(rewards))
     reward = rewards[j] if j < len(rewards) else 0
@@ -180,16 +164,15 @@ def cumulative_supply(t: int, kind: ScheduleKind) -> SupplyReport:
         start, period, first, r = SMOOTH_START_HEIGHT, SMOOTH_PERIOD, 25, DECAY
     else:
         t = min(t, (LAST_NONZERO_HALVING + 2) * HALVING_INTERVAL)
-        start, period, first, r = 0, HALVING_INTERVAL, 50, Fraction(1, 2)
+        start, period, first, r = 0, HALVING_INTERVAL, 50, HALVING_RATIO
     m, b = divmod(t - start, period)
     with localcontext(_EXACT):
-        r = Decimal(r.numerator) / r.denominator
         return SupplyReport(satoshis, CAP_BTC - (period / (1 - r) - b) * first * r**m)
 
 
 @dataclass(frozen=True)
 class EmissionTotal:
-    closed_form_btc: Fraction
+    closed_form_btc: Decimal
     iterated_satoshis: int
 
 
@@ -201,8 +184,9 @@ def total_emission(kind: ScheduleKind) -> EmissionTotal:
     accumulated rounding drift against the cap.
     """
     period, _, before = _periods(kind)  # rejects an unknown schedule
-    closed = (HALVING_INTERVAL * 50 * (1 / (1 - Fraction(1, 2))) if kind == "original"
-              else HALVING_INTERVAL * (50 + 25) + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY)))
+    with localcontext(_EXACT):
+        closed = (HALVING_INTERVAL * 50 * (1 / (1 - HALVING_RATIO)) if kind == "original"
+                  else HALVING_INTERVAL * (50 + 25) + SMOOTH_PERIOD * 25 * (1 / (1 - DECAY)))
     return EmissionTotal(closed_form_btc=closed, iterated_satoshis=period * before[-1])
 
 

@@ -140,10 +140,11 @@ def test_criterion_02_fact1_constant():
 
 def test_criterion_03_intermediate_figures():
     assert costs.compression_equivalents(ImprovementSet.none()) == Fraction(3)
-    one = ImprovementSet.of("1")
+    one = ImprovementSet(frozenset({"1"}))
     assert costs.compression_equivalents(one) == Fraction(2)
     assert costs.amortized_overhead(one) == Fraction(1, 2**32)
-    assert costs.compression_equivalents(ImprovementSet.of("1", "2")) == Fraction(125, 64)
+    one_two = ImprovementSet(frozenset({"1", "2"}))
+    assert costs.compression_equivalents(one_two) == Fraction(125, 64)
     assert abs(float(Fraction(125, 64)) - 1.953125) == 0
     _pass(3, "cost figures 3, 2 (+2^-32), 125/64 all exact")
 
@@ -323,7 +324,7 @@ def test_criterion_10_csa_validity():
 
 def test_criterion_11_adder_model():
     assert costs.adder_count(ImprovementSet.none()) == 1800
-    assert costs.adder_count(ImprovementSet.of("X", "X2")) == 552
+    assert costs.adder_count(ImprovementSet(frozenset({"X", "X2"}))) == 552
     full = ImprovementSet.full()
     best = costs.adder_count(full)
     checked = 0

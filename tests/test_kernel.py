@@ -118,7 +118,7 @@ class TestMidstate:
 
         from minerlab import costs
 
-        s = costs.ImprovementSet.of("1")
+        s = costs.ImprovementSet(frozenset({"1"}))
         assert costs.compression_equivalents(s) + costs.amortized_overhead(s) == Fraction(
             2
         ) + Fraction(1, 2**32)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,26 @@ import pytest
 from minerlab import rewards as rw
 
 SEED = 0x2E4A_0001
+DECAY = Fraction(624, 625)  # the proposed schedule's factor per 336-block period
+
+
+def half_up(x: Fraction) -> int:
+    return math.floor(x + Fraction(1, 2))
+
+
+def smooth_exact(t: int) -> Fraction:
+    # the proposed subsidy at height t >= 420,000 in satoshis before rounding
+    return 25 * 10**8 * DECAY ** (t // 336 - 1250)
+
+
+@functools.cache
+def smooth_table() -> tuple[int, ...]:
+    # the rounded subsidies of the smooth periods from height 420,000, until zero
+    table, exact = [], Fraction(25 * 10**8)
+    while half_up(exact) > 0:
+        table.append(half_up(exact))
+        exact *= DECAY
+    return tuple(table)
 
 
 class TestOriginalReward:
@@ -59,7 +80,8 @@ class TestProposedReward:
         rng = random.Random(SEED + 2)
         for _ in range(50):
             k = rng.randrange(1250, 20_000)
-            assert rw.smooth_reward_exact((k + 1) * 336) < rw.smooth_reward_exact(k * 336)
+            assert smooth_exact((k + 1) * 336) < smooth_exact(k * 336)
+            assert rw.reward_proposed((k + 1) * 336) <= rw.reward_proposed(k * 336)
 
     def test_published_values_within_a_cent(self):
         published = {
@@ -76,7 +98,7 @@ class TestProposedReward:
         rng = random.Random(SEED + 3)
         for _ in range(100):
             t = rng.randrange(420_000, 3_000_000)
-            exact = rw.smooth_reward_exact(t)
+            exact = smooth_exact(t)
             got = rw.reward_proposed(t)
             assert abs(Fraction(got) - exact) <= Fraction(1, 2)
             # half-up: the rounded value is the unique integer in (x-1/2, x+1/2]
@@ -147,7 +169,7 @@ class TestSupply:
                 got = rw.cumulative_supply(t + offset, "proposed").exact_btc
                 assert got == acc + offset * reward_btc
             acc += 336 * reward_btc
-            reward_btc *= rw.DECAY
+            reward_btc *= DECAY
 
     def test_at_height_limit(self):
         rep = rw.cumulative_supply(rw.MAX_SUPPLY_HEIGHT, "proposed")
@@ -213,14 +235,32 @@ class TestSmoothTable:
         # 625 periods at 50 BTC and 625 at 25 BTC before the smooth ones
         assert rewards[:rw.SMOOTH_START_PERIOD] == (50 * 10**8,) * 625 + (25 * 10**8,) * 625
         smooth = rewards[rw.SMOOTH_START_PERIOD:]
-        exact = Fraction(25 * 10**8)
-        for sat in smooth:
-            assert sat == rw._round_half_up(exact)
-            exact *= rw.DECAY
-        assert rw._round_half_up(exact) == 0  # the entry after the last
+        assert smooth == smooth_table()  # which ends before the first zero entry
         assert len(smooth) == 13_947
         assert len(before) == len(rewards) + 1 and before[-1] == sum(rewards)
         assert before[rw.SMOOTH_START_PERIOD] * 336 == 15_750_000 * 10**8
+
+    def test_guard_sends_ambiguous_roundings_to_the_exact_value(self, monkeypatch):
+        # at 16 fractional bits the fixed-point value drifts by hundreds of
+        # units, so some roundings are ambiguous: the error bound must catch
+        # each one and round the exact decimal instead
+        exact_rounds = []
+        enter = rw.localcontext
+
+        def exact_round(ctx):  # the table enters the exact context only to round
+            exact_rounds.append(ctx)
+            return enter(ctx)
+
+        monkeypatch.setattr(rw, "localcontext", exact_round)
+        monkeypatch.setattr(rw, "_SCALE_BITS", 16)
+        monkeypatch.setattr(rw, "_HALF", 1 << 15)
+        rw._periods.cache_clear()
+        try:
+            rewards = rw._periods("proposed")[1]
+        finally:
+            rw._periods.cache_clear()
+        assert rewards[rw.SMOOTH_START_PERIOD:] == smooth_table()
+        assert exact_rounds
 
 
 class TestTotals:
@@ -238,7 +278,8 @@ class TestTotals:
         assert rw.total_emission("proposed").closed_form_btc == 21_000_000
 
     def test_proposed_identity_terms(self):
-        assert Fraction(1) / (1 - rw.DECAY) == 625
+        assert rw.DECAY == DECAY
+        assert 1 / (1 - DECAY) == 625
         assert 15_750_000 + 336 * 25 * 625 == 21_000_000
 
     def test_gcd_design_facts(self):

@@ -125,6 +125,7 @@ def _u32(value: int) -> np.ndarray:
 
 _SHIFTS = tuple(_u32(n) for n in range(33))  # _SHIFTS[n] shifts by n
 _K = tuple(_u32(k) for k in sha.K)
+_NO_FOLDS = (None,) * 64  # the fold table of the first compression
 
 
 @dataclass(frozen=True)
@@ -246,20 +247,15 @@ def _bank(rows: int, width: int) -> np.ndarray:
 
 
 class _Lanes:
-    """One span's pipeline of set ``s`` over one work item.
+    """One span's pipeline of set ``s`` over one work item, up to ``width``
+    lanes wide: every lane buffer is a row of one uint32 bank it allocates
+    (8 registers, 16 schedule-ring words, 4 scratch rows, the nonces, the
+    lane offsets, and without flag 1 the 8 per-lane midstates).  Its
+    constructor and :meth:`chunk` are the seam a second backend implements."""
 
-    Every lane buffer is a row of one uint32 bank: 8 registers, 16
-    schedule-ring words, 4 scratch rows, the nonces and the lane offsets,
-    and without flag 1 the 8 per-lane midstates.  Given ``bank``, the lanes
-    run on its first ``width`` columns and allocate nothing."""
-
-    def __init__(self, work: PreparedWork, s: ImprovementSet, width: int, bank=None):
-        if bank is None:
-            bank = _bank(30 if "1" in s else 38, width)
-        self.bank = bank[:, :width]
-        rows = list(self.bank)
-        self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
-        self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
+    def __init__(self, work: PreparedWork, s: ImprovementSet, width: int):
+        self.bank = _bank(30 if "1" in s else 38, width)
+        self.view(width)
         self.offsets[:] = np.arange(width)
         self.work, self.s = work, s
         self.kw2 = _kw_table(work.sched0, FOLDED_ROUNDS[2], s)
@@ -267,6 +263,13 @@ class _Lanes:
         # second-compression words 16..19 built from their nonce-0 bases
         self.fixed = {t for t, flag in ((16, "7"), (17, "7"), (18, "7"), (19, "8")) if flag in s}
         self.top_limb = np.uint32(work.target >> 224)
+
+    def view(self, width):
+        """Point every lane buffer at the first ``width`` columns of its row."""
+        rows = list(self.bank[:, :width])
+        self.width = width
+        self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
+        self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
 
     def round(self, kw, w_vec, k):
         """One cipher round across all lanes; registers rotate by renaming."""
@@ -323,16 +326,16 @@ class _Lanes:
 
     def compress(self, kw_table, first=0, last=63, fixed=()) -> int:
         """Rounds ``first``..``last`` from the registers over the message in
-        the ring; returns the number of rounds run.  ``kw_table`` (None: no
-        round folds) holds the folded K+W of each round, None where W and K
-        are added separately; :meth:`fixed_word` writes the words in ``fixed``."""
+        the ring; returns the number of rounds run.  ``kw_table`` holds the
+        folded K+W of each round, None where W and K are added separately;
+        :meth:`fixed_word` writes the words in ``fixed``."""
         ring = self.ring
         for t in range(first, last + 1):
             if t in fixed:
                 self.fixed_word(t, ring[t & 15])
             elif t >= 16:
                 self.sched(t)
-            self.round(None if kw_table is None else kw_table[t], ring[t & 15], _K[t])
+            self.round(kw_table[t], ring[t & 15], _K[t])
         return last - first + 1
 
     def feedforward(self, base, out):
@@ -340,11 +343,13 @@ class _Lanes:
         for reg, add, dst in zip(self.regs, base, out):
             np.add(reg, add, dst)
 
-    def chunk(self, pos: int) -> tuple[list, int]:
-        """Hash nonces ``pos`` onward, one per lane, and filter them on
-        digest word 7: the lanes that pass, and the rounds each lane ran.
-        This is the seam between the lanes and the scan loop, which only
-        referees the lanes that pass and counts."""
+    def chunk(self, pos: int, width: int) -> tuple[list, int]:
+        """Hash the ``width`` nonces from ``pos``, one per lane, and filter
+        them on digest word 7: the lanes that pass, and the rounds each lane
+        ran.  A narrower chunk than the bank runs on its first columns; the
+        scan loop only referees the lanes that pass and counts."""
+        if width != self.width:
+            self.view(width)
         work, s, n, ring = self.work, self.s, self.nonces, self.ring
         np.add(self.offsets, np.uint32(pos), n)
         midstate = work.midstate
@@ -353,7 +358,7 @@ class _Lanes:
             for slot, w in enumerate(struct.unpack(">16I", work.header[:64])):
                 ring[slot][:] = w
             self.fill_regs(sha.IV)
-            rounds += self.compress(None)
+            rounds += self.compress(_NO_FOLDS)
             self.feedforward(sha.IV, self.mids)
             midstate = self.mids
 
@@ -403,32 +408,28 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
-def _scan_range(work, starts: range, hi, s, chunk, should_stop) -> tuple:
+def _scan_range(work, starts: range, hi, s, chunk, finds, idx) -> tuple:
     """Scan the chunks of ``chunk`` nonces that begin at ``starts``, in
-    order and none past ``hi``, up to the span's first find or the first
-    start ``should_stop`` refuses.  The report holds nothing per chunk: the
-    find, the rounds each lane ran, and each referee'd survivor as
-    ``(nonce, extra rounds, passed round 61)``."""
+    order and none past ``hi``, up to the span's first find, which it
+    publishes in ``finds[idx]``, or the first start above any find there.
+    The report holds nothing per chunk: the find, the rounds each lane ran,
+    and each referee'd survivor as ``(nonce, extra rounds, passed round 61)``."""
     lanes = _Lanes(work, s, min(chunk, hi - starts[0] + 1))
-    early = "2" in s
     stage2_active = work.target < WORD6_TARGET_BOUND
     per_lane, survivors = 0, []
     for pos in starts:
-        if should_stop(pos):
+        if min(finds) < pos:
             break
-        m = min(chunk, hi - pos + 1)
-        if m < lanes.bank.shape[1]:  # the range's shorter last chunk, on the same bank
-            lanes = _Lanes(work, s, m, lanes.bank)
-        candidates, per_lane = lanes.chunk(pos)
+        candidates, per_lane = lanes.chunk(pos, min(chunk, hi - pos + 1))
         for lane in candidates:
             digest = complete_nonce(work, pos + lane)  # scalar referee
-            if early:
-                # round 61 rejects it when word 6 is nonzero; else rounds 61..63 finish
+            if "2" in s:
+                # round 61 rejects it when word 6 is nonzero, which below
+                # 2^192 also fails the target; else rounds 61..63 finish
                 passed = not stage2_active or digest[24:28] == bytes(4)
                 survivors.append((pos + lane, 3 if passed else 1, passed and stage2_active))
-                if not passed:
-                    continue
             if meets_target(digest, work.target):
+                finds[idx] = pos + lane
                 return FoundNonce(pos + lane, digest), per_lane, survivors
     return None, per_lane, survivors
 
@@ -523,11 +524,8 @@ def scan(
     finds = memoryview(shared).cast("I")
 
     def run(idx: int) -> tuple:
-        report = _scan_range(work, range(nonce_lo + idx * chunk, nonce_hi + 1, spans * chunk),
-                             nonce_hi, improvements, chunk, lambda start: min(finds) < start)
-        if report[0] is not None:
-            finds[idx] = report[0].nonce
-        return report
+        return _scan_range(work, range(nonce_lo + idx * chunk, nonce_hi + 1, spans * chunk),
+                           nonce_hi, improvements, chunk, finds, idx)
 
     children = {}  # span index -> (pid, pipe from the child) until the child is reaped
     try:

@@ -1,3 +1,4 @@
+import array
 import collections
 import dataclasses
 import hashlib
@@ -359,11 +360,11 @@ class TestScanDecisions:
         assert one.nonces_tried == 8192
         assert self._counters(many) == self._counters(one)
 
-    def test_spans_past_pool_size_add_no_workers(self, monkeypatch, forks):
+    def test_one_chunk_forks_nothing(self, monkeypatch, forks):
         # 64 threads asked for over 64 nonces on two CPUs: one chunk at the
-        # default chunk, so one span and no child; at chunk 32, two chunks,
-        # so two spans, one of them in the single child process, which scans
-        # the winner's chunk
+        # default chunk, so one span on the calling thread and no child; at
+        # chunk 32, two chunks, so two spans, one of them in the single
+        # child process, which scans the winner's chunk
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         one = kern.scan(work, nonce - 63, nonce, threads=1)
@@ -475,6 +476,21 @@ class TestScanDecisions:
         for chunks in (1, 64):
             assert kern.scan(work, 0, 32 * chunks - 1, chunk=32).nonces_tried == 32 * chunks
         assert reports == [(None, costs.executed_rounds(FULL) + 1, [])] * 2
+
+    def test_span_publishes_and_stops_on_finds(self):
+        # a span stores its find in its own slot, and stops before a chunk
+        # that starts above a find in any slot
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        finds = array.array("I", [sha.MASK32] * 2)
+        found = kern._scan_range(work, range(nonce - 200, nonce + 64, 64), nonce + 63, FULL, 64,
+                                 finds, 1)[0]
+        assert found.nonce == nonce and list(finds) == [sha.MASK32, nonce]
+        # a find at nonce - 100 ends span 0 before its chunk at nonce - 72
+        finds[1] = nonce - 100
+        assert kern._scan_range(work, range(nonce - 200, nonce + 64, 64), nonce + 63, FULL, 64,
+                                finds, 0) == (None, costs.executed_rounds(FULL) + 1, [])
+        assert list(finds) == [sha.MASK32, nonce - 100]
 
     def test_failed_child_span_raises(self, monkeypatch, forks):
         # a span that raises in its child fails the whole scan, never a short
@@ -876,15 +892,15 @@ def _cover_sets():
     return sorted(sets, key=str)
 
 class TestLaneSeam:
-    """``_Lanes.chunk(pos)``, the one seam between the lanes and the scan
-    loop: exactly the lanes whose digest word 7 is at most the target's top
-    limb, and the rounds each lane ran."""
+    """``_Lanes(work, s, width)`` and its ``chunk(pos, width)``, the one seam
+    between the lanes and the scan loop: exactly the lanes whose digest
+    word 7 is at most the target's top limb, and the rounds each lane ran."""
 
     COVER = _cover_sets()
 
     @staticmethod
     def _check(lanes, work, pos, width, s):
-        candidates, rounds = lanes.chunk(pos)
+        candidates, rounds = lanes.chunk(pos, width)
         limb = work.target >> 224
         want = [i for i in range(width) if int.from_bytes(
             _dsha(_header_at(work.header, pos + i))[28:32], "little") <= limb]
@@ -900,11 +916,12 @@ class TestLaneSeam:
             work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
             pos = rng.randrange((1 << 32) - 377)
             lanes = kern._Lanes(work, s, 300)
+            bank = lanes.bank
             passed += len(self._check(lanes, work, pos, 300, s))
             # a narrower chunk runs on the first columns of the same bank
-            narrow = kern._Lanes(work, s, 77, lanes.bank)
-            assert np.shares_memory(narrow.bank, lanes.bank)
-            self._check(narrow, work, pos + 300, 77, s)
+            self._check(lanes, work, pos + 300, 77, s)
+            assert lanes.bank is bank and lanes.nonces.shape == (77,)
+            assert all(np.shares_memory(row, bank) for row in lanes.regs + lanes.ring)
         assert passed > len(self.COVER)
 
     @pytest.mark.parametrize("width", [1, 77, 1 << 14])
@@ -917,16 +934,54 @@ class TestLaneSeam:
             assert all(row.ctypes.data % 64 == 0 for row in bank)
 
     def test_shorter_last_chunk_reuses_the_bank(self, monkeypatch):
-        made = []
+        made, widths = [], []
 
         class Recorded(kern._Lanes):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
+            def chunk(self, pos, width):
+                widths.append(width)
+                return super().chunk(pos, width)
+
         monkeypatch.setattr(kern, "_Lanes", Recorded)
         work = kern.prepare_header_work(random.Random(SEED + 61).randbytes(80), 1)
         res = kern.scan(work, 1000, 1000 + 2 * 64 + 9, chunk=64)
         assert res.nonces_tried == 2 * 64 + 10
-        assert [lanes.bank.shape[1] for lanes in made] == [64, 10]
-        assert made[1].bank.base is made[0].bank.base
+        assert len(made) == 1 and made[0].bank.shape[1] == 64 and widths == [64, 64, 10]
+        assert made[0].nonces.shape == (10,) and np.shares_memory(made[0].nonces, made[0].bank)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_second_backend_scans_like_numpy(self, monkeypatch, cpus):
+        # a backend with only the seam's two calls, hashing each lane with
+        # hashlib, scans every range as the numpy lanes do, field for field
+        class HashlibLanes:
+            def __init__(self, work, s, width):
+                self.work, self.s = work, s
+
+            def chunk(self, pos, width):
+                limb = self.work.target >> 224
+                return [i for i in range(width) if int.from_bytes(_dsha(_header_at(
+                    self.work.header, pos + i))[28:32], "little") <= limb
+                ], costs.executed_rounds(self.s) + ("4" in self.s)
+
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        genesis = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        some = kern.prepare_header_work(GENESIS, 1 << 247)
+        never = kern.prepare_header_work(GENESIS, 1)
+        monkeypatch.setattr(kern, "CPUS", cpus)
+        for chunk in (64, 100, 128):
+            cases = [(genesis, nonce - 10, nonce + 5 * chunk + 9),  # the find in span 0
+                     (genesis, nonce - chunk - 10, nonce + 3 * chunk + 1),  # in chunk 1
+                     (some, 4100, 4100 + 12 * chunk + 33),  # 3-4 finds, the first in a child
+                     (never, 7, 7 + 6 * chunk + 50)]  # exhausted
+            for work, lo, hi in cases:
+                for s in (FULL, costs.ImprovementSet.none()):
+                    want = kern.scan(work, lo, hi, improvements=s, threads=cpus, chunk=chunk)
+                    with monkeypatch.context() as m:
+                        m.setattr(kern, "_Lanes", HashlibLanes)
+                        got = kern.scan(work, lo, hi, improvements=s, threads=cpus, chunk=chunk)
+                    assert got == want, (chunk, lo, hi, str(s))
+                    if work is not never:
+                        assert want.found is not None

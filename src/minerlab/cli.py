@@ -10,7 +10,6 @@ import argparse
 import csv
 import math
 import os
-import random
 import string
 import sys
 import time
@@ -18,7 +17,6 @@ import time
 from . import costs, header as hdr, kernel as kern, rewards as rw
 from . import sha256 as sha
 
-DEFAULT_SEED = 0x6D696E65726C61B5  # seeds the random header ``bench`` hashes
 # ``mine --mode auto`` runs early exit only below this target.  Early exit is
 # sound at any target, but the benchmark's find-desk check
 # (perfbench/workloads.py) expects desk targets to report ``mode: generic``
@@ -180,10 +178,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--count {args.count} scans nonces 0..{args.count - 1}, "
                          f"past the 32-bit range [0, {sha.MASK32}]")
     improvements = costs.ImprovementSet.parse(args.set)
-    raw = random.Random(DEFAULT_SEED).randbytes(76)
-    target = 1  # unreachable: pure throughput measurement
-
-    work = kern.prepare_header_work(raw, target)
+    # 76 zero bytes at the unreachable target 1: a pure throughput measurement
+    work = kern.prepare_header_work(bytes(76), 1)
     pipelines = (improvements, costs.ImprovementSet.none())
 
     def run(s, end):
@@ -296,14 +292,13 @@ def cmd_adders(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    fraction = float(costs.savings_fraction(costs.ImprovementSet.full()))
-    rep = costs.energy_savings(args.power_per_ghs, args.rate_ghs, args.price_per_kwh, fraction)
+    rep = costs.energy_savings(args.power_per_ghs, args.rate_ghs, args.price_per_kwh)
     _emit(
         [
             ("power_mw", f"{rep.power_mw:.4f}"),
             ("mwh_per_day", f"{rep.mwh_per_day:.4f}"),
             ("cost_per_day", f"{rep.cost_per_day:.2f}"),
-            ("savings_fraction", f"{fraction:.6f}"),
+            ("savings_fraction", f"{rep.savings_fraction:.6f}"),
             ("savings_per_day", f"{rep.savings_per_day:.2f}"),
         ],
         args.format,

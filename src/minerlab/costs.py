@@ -189,33 +189,30 @@ class EnergyReport(NamedTuple):
     power_mw: float
     mwh_per_day: float
     cost_per_day: float
+    savings_fraction: float
     savings_per_day: float
 
 
-def energy_savings(
-    power_per_ghs: float,
-    network_rate_ghs: float,
-    price_per_kwh: float,
-    fraction: float,
-) -> EnergyReport:
-    """Fleet-level electricity spend and what a cost fraction is worth.
+def energy_savings(power_per_ghs: float, network_rate_ghs: float,
+                   price_per_kwh: float) -> EnergyReport:
+    """Fleet-level electricity spend and what the full improvement set saves.
 
     ``power_per_ghs`` is watts drawn per GH/s of throughput; daily energy
-    is the implied megawatts times 24 hours; ``fraction`` is the share of
-    hashing work eliminated (see :func:`savings_fraction`).
+    is the implied megawatts times 24 hours; the saving is the full set's
+    share of hashing work eliminated, 71/192 (see :func:`savings_fraction`).
     """
     if power_per_ghs <= 0 or network_rate_ghs <= 0 or price_per_kwh <= 0:
         raise ValueError("power, rate and price must be positive")
-    if not 0 <= fraction < 1:
-        raise ValueError("fraction must lie in [0, 1)")
     power_mw = network_rate_ghs * power_per_ghs / 1e6
     mwh_per_day = power_mw * 24.0
     cost_per_day = mwh_per_day * 1000.0 * price_per_kwh
     if not math.isfinite(cost_per_day):
         raise ValueError("daily cost overflows a float")
+    fraction = float(savings_fraction(ImprovementSet.full()))
     return EnergyReport(
         power_mw=power_mw,
         mwh_per_day=mwh_per_day,
         cost_per_day=cost_per_day,
+        savings_fraction=fraction,
         savings_per_day=cost_per_day * fraction,
     )

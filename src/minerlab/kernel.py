@@ -408,19 +408,21 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
     return sha.sha256d(work.header + nonce.to_bytes(4, "big"))
 
 
-def _scan_range(work, starts: range, hi, s, chunk, finds, idx) -> tuple:
+def _scan_range(work, starts: range, s, chunk, finds, idx, owner) -> tuple:
     """Scan the chunks of ``chunk`` nonces that begin at ``starts``, in
-    order and none past ``hi``, up to the span's first find, which it
-    publishes in ``finds[idx]``, or the first start above any find there.
+    order and none past ``starts.stop - 1``, up to the span's first find,
+    which it publishes in ``finds[idx]``, the first start above any find
+    there, or the first chunk after the scan's process ``owner`` has died.
     The report holds nothing per chunk: the find, the rounds each lane ran,
     and each referee'd survivor as ``(nonce, extra rounds, passed round 61)``."""
-    lanes = _Lanes(work, s, min(chunk, hi - starts[0] + 1))
+    lanes = _Lanes(work, s, min(chunk, starts.stop - starts.start))
     stage2_active = work.target < WORD6_TARGET_BOUND
     per_lane, survivors = 0, []
     for pos in starts:
-        if min(finds) < pos:
+        # a span in a child stops once its parent, the owner, has died
+        if min(finds) < pos or owner not in (os.getpid(), os.getppid()):
             break
-        candidates, per_lane = lanes.chunk(pos, min(chunk, hi - pos + 1))
+        candidates, per_lane = lanes.chunk(pos, min(chunk, starts.stop - pos))
         for lane in candidates:
             digest = complete_nonce(work, pos + lane)  # scalar referee
             if "2" in s:
@@ -505,7 +507,9 @@ def scan(
     winner are not counted, and every thread count gives the same result.
     Each child sends its report back through a pipe.  No child outlives
     the call: a child whose span raises makes the scan raise, and if the
-    calling thread raises, the children are killed and reaped.
+    calling thread raises, the children are killed and reaped.  If the
+    calling process is killed, which skips that cleanup, each child stops
+    before its next chunk and exits.
     """
     if not (0 <= nonce_lo <= sha.MASK32 and 0 <= nonce_hi <= sha.MASK32):
         raise ValueError(f"nonces must lie in the 32-bit range [0, {sha.MASK32}], "
@@ -522,10 +526,11 @@ def scan(
     shared = mmap.mmap(-1, 4 * spans)
     shared.write(b"\xff" * 4 * spans)  # slot i: span i's find, 0xFFFFFFFF until then
     finds = memoryview(shared).cast("I")
+    owner = os.getpid()
 
     def run(idx: int) -> tuple:
         return _scan_range(work, range(nonce_lo + idx * chunk, nonce_hi + 1, spans * chunk),
-                           nonce_hi, improvements, chunk, finds, idx)
+                           improvements, chunk, finds, idx, owner)
 
     children = {}  # span index -> (pid, pipe from the child) until the child is reaped
     try:

@@ -513,10 +513,44 @@ class TestUsage:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+    def test_killed_parent_leaves_no_child_running(self):
+        # SIGTERM to the scanning parent alone skips scan's cleanup; span 1's
+        # child, re-parented, stops before its next chunk instead of hashing
+        # the rest of its 2^31-nonce span.  CPUS is set so that a child forks
+        # on one pinned CPU too
+        code = ("import sys, minerlab.cli as cli, minerlab.kernel as kern; kern.CPUS = 2; "
+                f"sys.exit(cli.main(['mine', '--header', '{FIXTURE_HEADER}', "
+                "'--target', '1', '--threads', '2']))")
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+            try:
+                deadline = time.monotonic() + 120
+                while _cpu_seconds(proc.pid) < 1.5:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+                child = int(Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text())
+                proc.terminate()
+                assert proc.wait(timeout=60) == -signal.SIGTERM
+                deadline = time.monotonic() + 5
+                while _state(child) not in ("", "Z"):  # gone, or exited and not yet reaped
+                    assert time.monotonic() < deadline, "the child outlived its killed parent"
+                    time.sleep(0.1)
+            finally:  # a failed check leaves no scan running for hours
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
 def _cpu_seconds(pid: int) -> float:
     # utime and stime, the 12th and 13th fields after the parenthesised name
     fields = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+def _state(pid: int) -> str:
+    # the state letter after the parenthesised name, or "" once pid is gone
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return ""
 
 class TestInputChecks:
     @pytest.mark.parametrize("argv", [

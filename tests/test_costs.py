@@ -171,32 +171,27 @@ class TestCsa:
 class TestEnergy:
     def test_fleet_scenario(self):
         # 3e6 GH/s at 3.2 W per GH/s: 9.6 MW, 230.4 MWh per day
-        rep = costs.energy_savings(3.2, 3_000_000, 0.10, 0.25)
+        rep = costs.energy_savings(3.2, 3_000_000, 0.10)
         assert abs(rep.power_mw - 9.6) < 1e-9
         assert abs(rep.mwh_per_day - 230.4) < 1e-9
 
     def test_2013_scenario(self):
-        # 982 MWh/day costing 150k/day; a 0.3698 cost fraction is ~55,470/day
+        # 982 MWh/day costing 150k/day; the full set saves 71/192 of it
         rate = 60_000.0
         power_per_ghs = 982e6 / 24.0 / rate
         price = 150_000.0 / 982_000.0
-        rep = costs.energy_savings(power_per_ghs, rate, price, 0.3698)
+        rep = costs.energy_savings(power_per_ghs, rate, price)
         assert abs(rep.mwh_per_day - 982.0) < 1e-6
         assert abs(rep.cost_per_day - 150_000.0) < 1e-6
-        assert abs(rep.savings_per_day - 55_470.0) < 0.01
-
-    def test_zero_fraction(self):
-        rep = costs.energy_savings(3.2, 1000.0, 0.1, 0.0)
-        assert rep.savings_per_day == 0.0
+        assert rep.savings_fraction == 71 / 192
+        assert abs(rep.savings_per_day - 150_000 * 71 / 192) < 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(power_per_ghs=0, network_rate_ghs=1, price_per_kwh=1, fraction=0.1),
-            dict(power_per_ghs=1, network_rate_ghs=-1, price_per_kwh=1, fraction=0.1),
-            dict(power_per_ghs=1, network_rate_ghs=1, price_per_kwh=0, fraction=0.1),
-            dict(power_per_ghs=1, network_rate_ghs=1, price_per_kwh=1, fraction=1.0),
-            dict(power_per_ghs=1, network_rate_ghs=1, price_per_kwh=1, fraction=-0.1),
+            dict(power_per_ghs=0, network_rate_ghs=1, price_per_kwh=1),
+            dict(power_per_ghs=1, network_rate_ghs=-1, price_per_kwh=1),
+            dict(power_per_ghs=1, network_rate_ghs=1, price_per_kwh=0),
         ],
     )
     def test_invalid_inputs(self, kwargs):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import signal
 import struct
 import sys
 import threading
@@ -49,35 +50,37 @@ def _header_at(base: bytes, nonce_word: int) -> bytes:
 
 @pytest.fixture
 def span_log(tmp_path, monkeypatch):
-    """Reads the ``(starts, hi, chunk)`` of every span scanned since the last
-    read, ``starts`` the range of its chunks' first nonces, sorted by first
-    chunk, in whichever process scanned it: ``_scan_range`` is wrapped to
-    append one line per span to a file."""
+    """Reads the ``(starts, stop, chunk)`` of every span scanned since the
+    last read, ``starts`` the range of its chunks' first nonces and ``stop``
+    that range's stop, sorted by first chunk, in whichever process scanned
+    it: ``_scan_range`` is wrapped to append one line per span to a file."""
     path = tmp_path / "spans"
     path.touch()
     scan_range = kern._scan_range
 
-    def recording(work, starts, hi, s, chunk, *rest):
+    def recording(work, starts, s, chunk, *rest):
         with open(path, "a") as log:
-            log.write(f"{starts.start} {starts.stop} {starts.step} {hi} {chunk}\n")
-        return scan_range(work, starts, hi, s, chunk, *rest)
+            log.write(f"{starts.start} {starts.stop} {starts.step} {chunk}\n")
+        return scan_range(work, starts, s, chunk, *rest)
 
     def read():
         lines = path.read_text().splitlines()
         path.write_text("")
         spans = sorted(tuple(map(int, line.split())) for line in lines)
-        return [(range(*span[:3]), *span[3:]) for span in spans]
+        return [(range(*span[:3]), span[1], span[3]) for span in spans]
 
     monkeypatch.setattr(kern, "_scan_range", recording)
     return read
 
 def _assert_dealt(spans, lo, hi, chunk):
     """The logged ``spans`` deal the chunks of ``lo..hi`` in nonce order:
-    chunk k, starting at ``lo + k * chunk``, to span k mod spans."""
+    chunk k, starting at ``lo + k * chunk``, to span k mod spans, and
+    every span's chunks end at ``hi``."""
     parts = len(spans)
     assert [starts for starts, _, _ in spans] == [
         range(lo + idx * chunk, hi + 1, parts * chunk) for idx in range(parts)]
-    assert all(h == hi and c == chunk for _, h, c in spans)
+    # range equality compares elements, so the stop is checked on its own
+    assert all(stop == hi + 1 and c == chunk for _, stop, c in spans)
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -483,14 +486,21 @@ class TestScanDecisions:
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         finds = array.array("I", [sha.MASK32] * 2)
-        found = kern._scan_range(work, range(nonce - 200, nonce + 64, 64), nonce + 63, FULL, 64,
-                                 finds, 1)[0]
+        starts, owner = range(nonce - 200, nonce + 64, 64), os.getpid()
+        found = kern._scan_range(work, starts, FULL, 64, finds, 1, owner)[0]
         assert found.nonce == nonce and list(finds) == [sha.MASK32, nonce]
         # a find at nonce - 100 ends span 0 before its chunk at nonce - 72
         finds[1] = nonce - 100
-        assert kern._scan_range(work, range(nonce - 200, nonce + 64, 64), nonce + 63, FULL, 64,
-                                finds, 0) == (None, costs.executed_rounds(FULL) + 1, [])
+        assert kern._scan_range(work, starts, FULL, 64, finds, 0, owner) == (
+            None, costs.executed_rounds(FULL) + 1, [])
         assert list(finds) == [sha.MASK32, nonce - 100]
+
+    def test_span_stops_once_its_owner_died(self):
+        # an owner that is neither the span's process nor its parent (no
+        # process has pid 0) has died: the span runs no chunk
+        work = kern.prepare_header_work(GENESIS, 1)
+        finds = array.array("I", [sha.MASK32])
+        assert kern._scan_range(work, range(0, 128, 64), FULL, 64, finds, 0, 0) == (None, 0, [])
 
     def test_failed_child_span_raises(self, monkeypatch, forks):
         # a span that raises in its child fails the whole scan, never a short
@@ -507,6 +517,26 @@ class TestScanDecisions:
         work = kern.prepare_header_work(random.Random(SEED + 38).randbytes(80), target=1)
         with pytest.raises(RuntimeError, match=r"span 1 of 2 \(first chunk at nonce 1024\) failed "
                                                r"in its child process: MemoryError: no bank"):
+            kern.scan(work, 0, 4095, threads=2, chunk=1024)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_dead_without_report_raises(self, monkeypatch, forks):
+        # a child killed before it reports fails the scan with its exit
+        # status, and is reaped
+        scan_range = kern._scan_range
+
+        def killed(work, starts, *rest):
+            if starts.start:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scan_range(work, starts, *rest)
+
+        monkeypatch.setattr(kern, "CPUS", 2)
+        monkeypatch.setattr(kern, "_scan_range", killed)
+        work = kern.prepare_header_work(random.Random(SEED + 38).randbytes(80), target=1)
+        with pytest.raises(RuntimeError, match=r"span 1 of 2 \(first chunk at nonce 1024\) failed "
+                                               r"in its child process: exit status -9"):
             kern.scan(work, 0, 4095, threads=2, chunk=1024)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -640,7 +670,7 @@ class TestChunkRule:
                 res.stage1_survivors, res.stage2_survivors)
 
     @pytest.mark.parametrize("threads, chunk", [(1, 1 << 14), (2, 1 << 14), (3, 1 << 14)])
-    def test_default_follows_threads(self, threads, chunk, monkeypatch, span_log):
+    def test_default_chunk_on_every_span(self, threads, chunk, monkeypatch, span_log):
         # spans in child processes do not contend for the GIL, so the
         # default chunk is the same on every span at every thread count
         work = kern.prepare_header_work(random.Random(SEED + 45).randbytes(80), 1)

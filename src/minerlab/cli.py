@@ -14,7 +14,7 @@ import string
 import sys
 import time
 
-from . import costs, header as hdr, kernel as kern, rewards as rw
+from . import costs, header as hdr, rewards as rw
 from . import sha256 as sha
 
 # ``mine --mode auto`` runs early exit only below this target.  Early exit is
@@ -115,20 +115,22 @@ def _load_work(args) -> tuple[bytes, int]:
 
 
 def cmd_mine(args) -> int:
+    from . import kernel as kern
     raw, target = _load_work(args)
+    threads = args.threads or kern.CPUS  # by default every CPU the scan may use
     full = costs.ImprovementSet.full()
     early = args.mode == "early-exit" or (args.mode == "auto" and target < WORD7_TARGET_BOUND)
     improvements = full if early else costs.ImprovementSet(full.flags - {"2"})
     work = kern.prepare_header_work(raw, target)
     started = time.perf_counter()
     res = kern.scan(work, args.nonce_start, args.nonce_end, improvements=improvements,
-                    threads=args.threads, chunk=args.chunk)
+                    threads=threads, chunk=args.chunk)
     elapsed = time.perf_counter() - started
 
     pairs = [
         ("target", f"{target:064x}"),
         ("mode", "early-exit" if early else "generic"),
-        ("threads", args.threads),
+        ("threads", threads),
         ("chunk", args.chunk),
         ("nonces_tried", res.nonces_tried),
         ("rounds_executed", res.rounds_executed),
@@ -174,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import kernel as kern
+    threads = args.threads or kern.CPUS
     if args.count > 1 << 32:  # before the warm-up scans, which stop short of it
         raise ValueError(f"--count {args.count} scans nonces 0..{args.count - 1}, "
                          f"past the 32-bit range [0, {sha.MASK32}]")
@@ -184,7 +188,7 @@ def cmd_bench(args) -> int:
 
     def run(s, end):
         t0 = time.perf_counter()
-        res = kern.scan(work, 0, end, threads=args.threads, chunk=args.chunk, improvements=s)
+        res = kern.scan(work, 0, end, threads=threads, chunk=args.chunk, improvements=s)
         return res, time.perf_counter() - t0
 
     # one untimed chunk of each warms the process; then the two alternate
@@ -198,7 +202,7 @@ def cmd_bench(args) -> int:
     _emit(
         [
             ("count", args.count),
-            ("threads", args.threads),
+            ("threads", threads),
             ("chunk", args.chunk),
             ("improvements", str(improvements)),
             ("optimized_compressions_per_nonce", f"{fast.compressions_equivalent:.6f}"),
@@ -340,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="improvement flags to measure: none, full or a list such as 1,2,3")
 
     def add_chunk(p):
-        p.add_argument("--chunk", type=_positive_int, default=kern.DEFAULT_CHUNK,
-                       help=f"lanes per numpy call in each span, at most {kern.MAX_CHUNK} "
-                            f"(default: {kern.DEFAULT_CHUNK})")
+        p.add_argument("--chunk", type=_positive_int, default=costs.DEFAULT_CHUNK,
+                       help=f"lanes per numpy call in each span, at most {costs.MAX_CHUNK} "
+                            f"(default: {costs.DEFAULT_CHUNK})")
 
     p = sub.add_parser("mine", help="scan a nonce range for a qualifying header")
     p.add_argument("--header", required=True, help="160-char header hex (nonce field ignored)")
     p.add_argument("--target", type=_target_hex, help="target hex override")
     p.add_argument("--nonce-start", type=_parse_int, default=0)
     p.add_argument("--nonce-end", type=_parse_int, default=0xFFFFFFFF)
-    p.add_argument("--threads", type=_positive_int, default=kern.CPUS)
+    p.add_argument("--threads", type=_positive_int)
     p.add_argument("--mode", choices=("auto", "early-exit", "generic"), default="auto",
                    help="early-exit keeps improvement 2, generic drops it, auto keeps it "
                         "below 2^224")
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="an improvement set's throughput versus the naive pipeline")
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=kern.CPUS)
+    p.add_argument("--threads", type=_positive_int)
     add_set(p)
     add_chunk(p)
     add_format(p)

@@ -54,6 +54,14 @@ FOLDED_ROUNDS = {
     3: {**dict.fromkeys(range(8, 15), "5"), 15: "6"},
 }
 
+# Lanes per numpy call in each scan span when the caller gives no chunk: the
+# span's 30 lane rows of 64 KB fit a 2 MB L2, and a find computes at most
+# 2^14 - 1 lanes past its winner.  Kept here, free of numpy, for the CLI.
+DEFAULT_CHUNK = 1 << 14
+# The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
+# measures: 4 MiB for each of a span's 30 lane rows (38 without flag 1).
+MAX_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class ImprovementSet:

@@ -95,19 +95,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sha256 as sha
-from .costs import FOLDED_ROUNDS, ImprovementSet
+from .costs import DEFAULT_CHUNK, FOLDED_ROUNDS, MAX_CHUNK, ImprovementSet
 from .header import meets_target
 
 # The CPUs this process may run on: every scan's span cap reads it.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Lanes per numpy call in each span when the caller gives no chunk: the 30
-# bank rows of 64 KB fit a 2 MB L2, and a find computes at most 2^14 - 1
-# lanes past its winner.
-DEFAULT_CHUNK = 1 << 14
-# The largest chunk a scan accepts, 4x the largest perfbench/sweep.py
-# measures: 4 MiB for each of a span's 30 bank rows (38 without flag 1).
-MAX_CHUNK = 1 << 20
 
 WORD6_TARGET_BOUND = 1 << 192  # round-61 constant check sound below this
 
@@ -247,15 +239,16 @@ def _bank(rows: int, width: int) -> np.ndarray:
 
 
 class _Lanes:
-    """One span's pipeline of set ``s`` over one work item, up to ``width``
-    lanes wide: every lane buffer is a row of one uint32 bank it allocates
+    """One span's pipeline of set ``s`` over one work item, ``width`` lanes
+    wide for its whole life: every lane buffer is a row of one uint32 bank
     (8 registers, 16 schedule-ring words, 4 scratch rows, the nonces, the
     lane offsets, and without flag 1 the 8 per-lane midstates).  Its
     constructor and :meth:`chunk` are the seam a second backend implements."""
 
     def __init__(self, work: PreparedWork, s: ImprovementSet, width: int):
-        self.bank = _bank(30 if "1" in s else 38, width)
-        self.view(width)
+        rows = list(_bank(30 if "1" in s else 38, width))
+        self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
+        self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
         self.offsets[:] = np.arange(width)
         self.work, self.s = work, s
         self.kw2 = _kw_table(work.sched0, FOLDED_ROUNDS[2], s)
@@ -263,13 +256,6 @@ class _Lanes:
         # second-compression words 16..19 built from their nonce-0 bases
         self.fixed = {t for t, flag in ((16, "7"), (17, "7"), (18, "7"), (19, "8")) if flag in s}
         self.top_limb = np.uint32(work.target >> 224)
-
-    def view(self, width):
-        """Point every lane buffer at the first ``width`` columns of its row."""
-        rows = list(self.bank[:, :width])
-        self.width = width
-        self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
-        self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
 
     def round(self, kw, w_vec, k):
         """One cipher round across all lanes; registers rotate by renaming."""
@@ -343,15 +329,13 @@ class _Lanes:
         for reg, add, dst in zip(self.regs, base, out):
             np.add(reg, add, dst)
 
-    def chunk(self, pos: int, width: int) -> tuple[list, int]:
-        """Hash the ``width`` nonces from ``pos``, one per lane, and filter
-        them on digest word 7: the lanes that pass, and the rounds each lane
-        ran.  A narrower chunk than the bank runs on its first columns; the
-        scan loop only referees the lanes that pass and counts."""
-        if width != self.width:
-            self.view(width)
+    def chunk(self, pos: int) -> tuple[list, int]:
+        """Hash every lane, lane i at nonce ``(pos + i) mod 2^32``, and filter
+        on digest word 7: the ascending indices of the lanes that pass, and
+        the rounds each lane ran.  Lanes past the range's end run too; the
+        scan loop referees and counts none of them."""
         work, s, n, ring = self.work, self.s, self.nonces, self.ring
-        np.add(self.offsets, np.uint32(pos), n)
+        np.add(self.offsets, np.uint32(pos), n)  # uint32 addition wraps at 2^32
         midstate = work.midstate
         rounds = 0
         if "1" not in s:  # first compression, recomputed per lane
@@ -410,9 +394,10 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
 
 def _scan_range(work, starts: range, s, chunk, finds, idx, owner) -> tuple:
     """Scan the chunks of ``chunk`` nonces that begin at ``starts``, in
-    order and none past ``starts.stop - 1``, up to the span's first find,
-    which it publishes in ``finds[idx]``, the first start above any find
-    there, or the first chunk after the scan's process ``owner`` has died.
+    order, up to the span's first find, which it publishes in
+    ``finds[idx]``, the first start above any find there, or the first
+    chunk after the scan's process ``owner`` has died.  No lane past
+    ``starts.stop - 1`` reaches the referee or the report.
     The report holds nothing per chunk: the find, the rounds each lane ran,
     and each referee'd survivor as ``(nonce, extra rounds, passed round 61)``."""
     lanes = _Lanes(work, s, min(chunk, starts.stop - starts.start))
@@ -422,17 +407,18 @@ def _scan_range(work, starts: range, s, chunk, finds, idx, owner) -> tuple:
         # a span in a child stops once its parent, the owner, has died
         if min(finds) < pos or owner not in (os.getpid(), os.getppid()):
             break
-        candidates, per_lane = lanes.chunk(pos, min(chunk, starts.stop - pos))
-        for lane in candidates:
-            digest = complete_nonce(work, pos + lane)  # scalar referee
+        candidates, per_lane = lanes.chunk(pos)
+        # the last chunk's lanes past the range's end are not refereed
+        for nonce in (pos + lane for lane in candidates if pos + lane < starts.stop):
+            digest = complete_nonce(work, nonce)  # scalar referee
             if "2" in s:
                 # round 61 rejects it when word 6 is nonzero, which below
                 # 2^192 also fails the target; else rounds 61..63 finish
                 passed = not stage2_active or digest[24:28] == bytes(4)
-                survivors.append((pos + lane, 3 if passed else 1, passed and stage2_active))
+                survivors.append((nonce, 3 if passed else 1, passed and stage2_active))
             if meets_target(digest, work.target):
-                finds[idx] = pos + lane
-                return FoundNonce(pos + lane, digest), per_lane, survivors
+                finds[idx] = nonce
+                return FoundNonce(nonce, digest), per_lane, survivors
     return None, per_lane, survivors
 
 

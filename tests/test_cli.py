@@ -34,6 +34,12 @@ FIXTURE_HEADER = (
 )
 FIXTURE_TARGET = 1 << 240
 FIXTURE = ("--header", FIXTURE_HEADER, "--target", f"{FIXTURE_TARGET:064x}")
+# The genesis block's header, nonce field zeroed; nbits 1d00ffff.
+GENESIS_HEADER = (
+    "010000000000000000000000000000000000000000000000000000000000000000000000"
+    "3ba3edfd7a7b12b27ac72c3e67768f617fc81bc3888a51323a9fb8aa4b1e5e4a29ab5f49"
+    "ffff001d00000000"
+)
 SEED = 0xC11_0001
 
 def run_cli(*argv) -> int:
@@ -72,8 +78,8 @@ class TestMine:
     def test_digest_is_hash_of_printed_header(self, monkeypatch, capsys):
         # a corrupted midstate misleads only the lanes: the reported digest
         # is still the double hash of the reported header bytes
-        prepare = cli.kern.prepare_header_work
-        monkeypatch.setattr(cli.kern, "prepare_header_work", lambda raw, target:
+        prepare = kern.prepare_header_work
+        monkeypatch.setattr(kern, "prepare_header_work", lambda raw, target:
                             dataclasses.replace(prepare(raw, target), midstate=sha.IV))
         assert run_cli("mine", "--header", FIXTURE_HEADER, "--threads", "1",
                        "--target", "8" + "0" * 63) == 0
@@ -140,6 +146,16 @@ class TestMine:
         )
         assert code == 0
         assert kv(capsys)["header"] == raw.hex()
+
+    def test_genesis_second_nonce_known_answer(self, capsys):
+        # of all 2^32 nonces, only 0x1dac2b7c (the genesis block) and
+        # 0xebac96be give the genesis header a hash with 32 leading zero bits
+        assert run_cli("mine", "--header", GENESIS_HEADER, "--nonce-start", "0xebac0000",
+                       "--nonce-end", "0xebacffff") == 0
+        report = kv(capsys)
+        assert (report["nonce"], report["nonces_tried"]) == ("0xebac96be", "38591")
+        assert report["digest"].startswith("00000000ea532922")
+        assert report["target"] == f"{hdr.decode_nbits(0x1D00FFFF):064x}"
 
     def test_threads_match_single(self, capsys):
         assert run_cli("mine", *FIXTURE, "--threads", "4", *FIXTURE_END) == 0
@@ -464,6 +480,17 @@ class TestUsage:
         assert proc.returncode == 0
         assert "312500000" in proc.stdout
 
+    def test_commands_that_never_scan_import_no_numpy(self):
+        # numpy comes in with the kernel, which mine and bench import when they run
+        argvs = [["reward", "630000"], ["supply", "--height", "1000"], ["table"], ["adders"],
+                 ["energy", "--power-per-ghs", "1", "--rate-ghs", "1", "--price-per-kwh", "1"],
+                 ["retarget-sim", "--nbits", "1d00ffff", "--spans", "1209600"],
+                 ["verify", "--header", FIXTURE_HEADER]]
+        code = (f"import sys, minerlab.cli as cli; codes = [cli.main(a) for a in {argvs}]; "
+                "sys.exit(codes != [0, 0, 0, 0, 0, 0, 1] or 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_closed_stdout_before_a_short_report(self):
         # the read end closes before the command starts: its first write fails
         read_end, write_end = os.pipe()
@@ -738,8 +765,8 @@ _TOKENS = st.one_of(
 # Values that size the work come from bounded sets: a chunk below 256 lanes
 # would split the 256-nonce scans into many chunks of ~6,000 numpy calls each.
 _VALUES = {
-    "--chunk": st.sampled_from(["0", "-1", "x", "256", "0x10000", str(cli.kern.MAX_CHUNK),
-                                str(cli.kern.MAX_CHUNK + 1), str(1 << 32)]),
+    "--chunk": st.sampled_from(["0", "-1", "x", "256", "0x10000", str(kern.MAX_CHUNK),
+                                str(kern.MAX_CHUNK + 1), str(1 << 32)]),
     "--height": st.one_of(st.integers(-10, 10**6).map(str), st.sampled_from(["", "x", "0x"])),
 }
 

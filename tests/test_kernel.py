@@ -464,6 +464,28 @@ class TestScanDecisions:
                 if work is genesis:
                     assert (one.found is not None) == (lo <= nonce <= hi)
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_scan_to_the_top_of_the_nonce_space(self, monkeypatch, cpus):
+        # 1,100 nonces up to 0xFFFFFFFF at chunk 64: 17 full chunks and a
+        # 12-lane last chunk, whose other 52 lanes wrap to nonces 0..51.
+        # One header has its one find at 2^247 in chunk 13; the other has
+        # none, but nonces 28 and 45 pass its filter in the wrapped lanes
+        lo = sha.MASK32 - 1099
+        found, wrapped = (random.Random(SEED + k).randbytes(80) for k in (69, 129))
+        cases = [(found, 1 << 247), (wrapped, 1 << 247), (wrapped, 1)]
+        assert _word7_lanes(kern.prepare_header_work(wrapped, 1 << 247), 0, 52) == [28, 45]
+        monkeypatch.setattr(kern, "CPUS", cpus)
+        for header, target in cases:
+            work = kern.prepare_header_work(header, target)
+            first = next((n for n in range(lo, sha.MASK32 + 1)
+                          if hdr.meets_target(_dsha(_header_at(header, n)), target)), None)
+            assert first == (0xFFFFFF05 if header is found and target > 1 else None)
+            for s in (FULL, costs.ImprovementSet.none()):
+                one = kern.scan(work, lo, sha.MASK32, improvements=s, threads=1, chunk=64)
+                assert kern.scan(work, lo, sha.MASK32, improvements=s, threads=3, chunk=64) == one
+                assert (one.found and one.found.nonce) == first, str(s)
+                assert one.nonces_tried == (sha.MASK32 if first is None else first) - lo + 1
+
     def test_span_reports_hold_nothing_per_chunk(self, monkeypatch):
         # a span reports its find, the rounds each lane ran and its
         # survivors, however many chunks it scanned
@@ -921,19 +943,25 @@ def _cover_sets():
         sets.add(min((s for s in LANE_SETS if f in s), key=lambda s: len(s.flags)))
     return sorted(sets, key=str)
 
+def _word7_lanes(work, pos, width):
+    """The lanes ``i < width`` whose nonce ``(pos + i) mod 2^32`` passes the
+    word-7 filter, by hashlib: digest word 7 at most the target's top limb."""
+    limb = work.target >> 224
+    return [i for i in range(width) if int.from_bytes(
+        _dsha(_header_at(work.header, (pos + i) & sha.MASK32))[28:32], "little") <= limb]
+
 class TestLaneSeam:
-    """``_Lanes(work, s, width)`` and its ``chunk(pos, width)``, the one seam
-    between the lanes and the scan loop: exactly the lanes whose digest
-    word 7 is at most the target's top limb, and the rounds each lane ran."""
+    """``_Lanes(work, s, width)`` and its ``chunk(pos)``, the one seam
+    between the lanes and the scan loop: lane i hashes nonce ``(pos + i)
+    mod 2^32``, and a chunk returns exactly the lanes whose digest word 7
+    is at most the target's top limb, and the rounds each lane ran."""
 
     COVER = _cover_sets()
 
     @staticmethod
     def _check(lanes, work, pos, width, s):
-        candidates, rounds = lanes.chunk(pos, width)
-        limb = work.target >> 224
-        want = [i for i in range(width) if int.from_bytes(
-            _dsha(_header_at(work.header, pos + i))[28:32], "little") <= limb]
+        candidates, rounds = lanes.chunk(pos)
+        want = _word7_lanes(work, pos, width)
         assert candidates == want, str(s)
         assert rounds == costs.executed_rounds(s) + ("4" in s), str(s)
         return want
@@ -946,41 +974,65 @@ class TestLaneSeam:
             work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
             pos = rng.randrange((1 << 32) - 377)
             lanes = kern._Lanes(work, s, 300)
-            bank = lanes.bank
             passed += len(self._check(lanes, work, pos, 300, s))
-            # a narrower chunk runs on the first columns of the same bank
-            self._check(lanes, work, pos + 300, 77, s)
-            assert lanes.bank is bank and lanes.nonces.shape == (77,)
-            assert all(np.shares_memory(row, bank) for row in lanes.regs + lanes.ring)
-        assert passed > len(self.COVER)
+            # the same lanes from 77 below 2^32 wrap to nonces 0..222
+            passed += len(self._check(lanes, work, (1 << 32) - 77, 300, s))
+        assert passed > 2 * len(self.COVER)
 
     @pytest.mark.parametrize("width", [1, 77, 1 << 14])
     def test_bank_rows_start_on_cache_lines(self, width):
         # numpy's loops ran a chunk about 15% slower with the rows 16 bytes
         # off a 32-byte boundary, so no row may start where malloc happens to
         for s in (FULL, costs.ImprovementSet.none()):
-            bank = kern._Lanes(_SPLIT_WORK, s, width).bank
-            assert bank.shape == (30 if "1" in s else 38, width)
-            assert all(row.ctypes.data % 64 == 0 for row in bank)
+            lanes = kern._Lanes(_SPLIT_WORK, s, width)
+            rows = lanes.regs + lanes.ring + lanes.mids + [
+                lanes.t1, lanes.t2, lanes.ta, lanes.tb, lanes.nonces, lanes.offsets]
+            assert len({row.ctypes.data for row in rows}) == (30 if "1" in s else 38)
+            assert all(row.shape == (width,) and row.ctypes.data % 64 == 0 for row in rows)
 
-    def test_shorter_last_chunk_reuses_the_bank(self, monkeypatch):
-        made, widths = [], []
+    def test_one_lanes_per_span_and_no_lane_past_the_end(self, monkeypatch, tmp_path):
+        # a range that ends just below a lane passing the filter, in its
+        # last chunk: every span makes one _Lanes and calls chunk once per
+        # chunk start, at full width, and the lanes past the range's end
+        # reach neither the referee nor the counters
+        log = tmp_path / "log"
+        log.touch()
+
+        def note(*words):  # appends from any span's process
+            with open(log, "a") as out:
+                out.write(" ".join(map(str, words)) + "\n")
 
         class Recorded(kern._Lanes):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+            def __init__(self, work, s, width):
+                super().__init__(work, s, width)
+                note("lanes", width)
 
-            def chunk(self, pos, width):
-                widths.append(width)
-                return super().chunk(pos, width)
+            def chunk(self, pos):
+                note("chunk", pos)
+                return super().chunk(pos)
+
+        complete_nonce = kern.complete_nonce
+
+        def referee(work, nonce):
+            note("referee", nonce)
+            return complete_nonce(work, nonce)
 
         monkeypatch.setattr(kern, "_Lanes", Recorded)
-        work = kern.prepare_header_work(random.Random(SEED + 61).randbytes(80), 1)
-        res = kern.scan(work, 1000, 1000 + 2 * 64 + 9, chunk=64)
-        assert res.nonces_tried == 2 * 64 + 10
-        assert len(made) == 1 and made[0].bank.shape[1] == 64 and widths == [64, 64, 10]
-        assert made[0].nonces.shape == (10,) and np.shares_memory(made[0].nonces, made[0].bank)
+        monkeypatch.setattr(kern, "complete_nonce", referee)
+        monkeypatch.setattr(kern, "CPUS", 2)
+        rng = random.Random(SEED + 61)
+        work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
+        # two lanes that pass with none between, a gap that is not whole chunks
+        passing = _word7_lanes(work, 0, 4096)
+        lo, hi = next((a + 1, b - 1) for a, b in zip(passing, passing[1:])
+                      if b - a > 40 and (b - a - 1) % 16)
+        for threads in (1, 2):
+            res = kern.scan(work, lo, hi, chunk=16, threads=threads)
+            assert (res.found, res.nonces_tried, res.stage1_survivors) == (None, hi - lo + 1, 0)
+            calls = sorted(line.split() for line in log.read_text().splitlines())
+            log.write_text("")
+            assert calls == sorted([["chunk", str(pos)] for pos in range(lo, hi + 1, 16)]
+                                   + [["lanes", "16"]] * threads)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_second_backend_scans_like_numpy(self, monkeypatch, cpus):
@@ -988,13 +1040,11 @@ class TestLaneSeam:
         # hashlib, scans every range as the numpy lanes do, field for field
         class HashlibLanes:
             def __init__(self, work, s, width):
-                self.work, self.s = work, s
+                self.work, self.s, self.width = work, s, width
 
-            def chunk(self, pos, width):
-                limb = self.work.target >> 224
-                return [i for i in range(width) if int.from_bytes(_dsha(_header_at(
-                    self.work.header, pos + i))[28:32], "little") <= limb
-                ], costs.executed_rounds(self.s) + ("4" in self.s)
+            def chunk(self, pos):
+                return _word7_lanes(self.work, pos, self.width), (
+                    costs.executed_rounds(self.s) + ("4" in self.s))
 
         nonce = int.from_bytes(GENESIS[76:80], "big")
         genesis = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))

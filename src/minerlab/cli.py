@@ -236,7 +236,7 @@ def cmd_supply(args) -> int:
                 ("cumulative_satoshis", rep.cumulative_satoshis),
                 ("cumulative_btc", _btc_str(rep.cumulative_satoshis)),
                 ("cap_delta_satoshis", rw.CAP_SATOSHIS - rep.cumulative_satoshis),
-                ("exact_btc", f"{float(rep.exact_btc):.8f}"),
+                ("exact_btc", f"{rep.exact_btc:.8f}"),  # half-even under the default context
             ],
             args.format,
         )

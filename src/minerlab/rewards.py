@@ -23,8 +23,9 @@ Each schedule is one table of equal periods built on first use: 33 eras of
 rounded subsidy and the prefix sums of them. Rounded rewards, supplies and
 all-time totals are lookups in it. Every exact value is a ``Decimal`` in
 one context, ``_EXACT``, that never rounds: the ratios 1/2 and 624/625 =
-0.9984 are finite decimals, so every exact supply, total and pre-rounding
-subsidy is one. Floats appear only in display helpers.
+0.9984 are finite decimals, so every exact supply and total is one. The
+rounded smooth subsidies come from one 128-bit fixed-point pass. Floats
+appear only in display helpers.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, Inexact,
-                     localcontext)
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from typing import Iterator, Literal, Sequence
 
 SATOSHI_PER_BTC = 100_000_000
@@ -86,32 +86,20 @@ def reward_proposed(t: int) -> int:
     return _lookup(t, "proposed")[0]
 
 
-# Rounded per-period satoshi values via 128-bit fixed point. The scaled
-# value ``lo`` is a lower bound, and the true value lies in [lo, lo + slack]:
-# each step scales the bound by 624/625 rounded up and adds the one scaled
-# unit the floor division can lose. If the two ends round apart, the exact
-# decimal 25e8 * 0.9984^j is rounded instead.
+# Rounded per-period satoshi values via 128-bit fixed point, floored each
+# step. Each floor loses under one unit and the carried shortfall shrinks by
+# 624/625 a step, so it stays below 625 units (about 1.8e-36 satoshi); no
+# exact subsidy 25e8 * 0.9984^j lies within 8.1e-5 satoshi of a rounding tie.
 _SCALE_BITS = 128
 _HALF = 1 << (_SCALE_BITS - 1)
 
 
 def _smooth_period_satoshis() -> Iterator[int]:
     """Yield the rounded satoshi subsidy for periods j = 0, 1, ... until 0."""
-    lo = SMOOTH_BASE_SATOSHIS << _SCALE_BITS
-    slack = 0
-    j = 0
-    while True:
-        r_lo = (lo + _HALF) >> _SCALE_BITS
-        r_hi = (lo + slack + _HALF) >> _SCALE_BITS
-        if r_lo != r_hi:
-            with localcontext(_EXACT):
-                r_lo = int((SMOOTH_BASE_SATOSHIS * DECAY**j).to_integral_value(ROUND_HALF_UP))
-        if r_lo == 0:
-            return
-        yield r_lo
-        lo = lo * 624 // 625
-        slack = -(-slack * 624 // 625) + 1
-        j += 1
+    scaled = SMOOTH_BASE_SATOSHIS << _SCALE_BITS
+    while (satoshis := (scaled + _HALF) >> _SCALE_BITS):
+        yield satoshis
+        scaled = scaled * 624 // 625
 
 
 @functools.cache

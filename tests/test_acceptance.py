@@ -181,13 +181,18 @@ def test_criterion_05_stage1_filter_statistics():
     started = time.perf_counter()
     rng = random.Random(SEED + 5)
     work = kern.prepare_header_work(rng.randbytes(80), target=1)
-    res = kern.scan(work, 0, (1 << 24) - 1, threads=1)
+    # on every CPU: the 1,024 chunks are dealt across spans and the counters
+    # must still come out exact
+    res = kern.scan(work, 0, (1 << 24) - 1, threads=kern.CPUS)
     elapsed = time.perf_counter() - started
     assert res.found is None
     assert res.nonces_tried == 1 << 24
     # expected survivors 2^24 / 2^32 = 0.0039; four or more is a ~1e-8 event
     assert res.stage1_survivors <= 3
     assert res.stage2_survivors <= res.stage1_survivors
+    # 122 rounds a lane, one more per stage-1 survivor and two more per stage-2 one
+    assert res.rounds_executed == (122 * (1 << 24) + res.stage1_survivors
+                                   + 2 * res.stage2_survivors)
     assert elapsed < 120
     _pass(
         5,

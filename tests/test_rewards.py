@@ -240,28 +240,6 @@ class TestSmoothTable:
         assert len(before) == len(rewards) + 1 and before[-1] == sum(rewards)
         assert before[rw.SMOOTH_START_PERIOD] * 336 == 15_750_000 * 10**8
 
-    def test_guard_sends_ambiguous_roundings_to_the_exact_value(self, monkeypatch):
-        # at 16 fractional bits the fixed-point value drifts by hundreds of
-        # units, so some roundings are ambiguous: the error bound must catch
-        # each one and round the exact decimal instead
-        exact_rounds = []
-        enter = rw.localcontext
-
-        def exact_round(ctx):  # the table enters the exact context only to round
-            exact_rounds.append(ctx)
-            return enter(ctx)
-
-        monkeypatch.setattr(rw, "localcontext", exact_round)
-        monkeypatch.setattr(rw, "_SCALE_BITS", 16)
-        monkeypatch.setattr(rw, "_HALF", 1 << 15)
-        rw._periods.cache_clear()
-        try:
-            rewards = rw._periods("proposed")[1]
-        finally:
-            rw._periods.cache_clear()
-        assert rewards[rw.SMOOTH_START_PERIOD:] == smooth_table()
-        assert exact_rounds
-
 
 class TestTotals:
     def test_original_closed_form_exact(self):

@@ -78,8 +78,8 @@ README's "Performance notes" tables them.
 numpy takes the GIL back after every ufunc call, so span threads would
 queue on it: :func:`scan` runs span 0 on the calling thread and each other
 span in a child process made with ``os.fork``.  It deals the range's chunks
-in nonce order, chunk k to span k mod spans; a span stops before a chunk
-that starts above a find any span has published, and the counters end at
+in nonce order, chunk k to span k mod spans; a span abandons its chunk at
+the next round once a find below it is published, and the counters end at
 the winner, so the result is the same at every thread count.
 """
 
@@ -243,14 +243,15 @@ class _Lanes:
     wide for its whole life: every lane buffer is a row of one uint32 bank
     (8 registers, 16 schedule-ring words, 4 scratch rows, the nonces, the
     lane offsets, and without flag 1 the 8 per-lane midstates).  Its
-    constructor and :meth:`chunk` are the seam a second backend implements."""
+    constructor and :meth:`chunk` are the seam a second backend implements;
+    it may ignore ``finds``, the published finds, as abandoning only saves time."""
 
-    def __init__(self, work: PreparedWork, s: ImprovementSet, width: int):
+    def __init__(self, work: PreparedWork, s: ImprovementSet, width: int, finds):
         rows = list(_bank(30 if "1" in s else 38, width))
         self.regs, self.ring, self.mids = rows[:8], rows[8:24], rows[30:]
         self.t1, self.t2, self.ta, self.tb, self.nonces, self.offsets = rows[24:30]
         self.offsets[:] = np.arange(width)
-        self.work, self.s = work, s
+        self.work, self.s, self.finds = work, s, finds
         self.kw2 = _kw_table(work.sched0, FOLDED_ROUNDS[2], s)
         self.kw3 = _kw_table(_COMP3_BLOCK, FOLDED_ROUNDS[3], s)
         # second-compression words 16..19 built from their nonce-0 bases
@@ -311,12 +312,14 @@ class _Lanes:
             reg[:] = value
 
     def compress(self, kw_table, first=0, last=63, fixed=()) -> int:
-        """Rounds ``first``..``last`` from the registers over the message in
-        the ring; returns the number of rounds run.  ``kw_table`` holds the
-        folded K+W of each round, None where W and K are added separately;
-        :meth:`fixed_word` writes the words in ``fixed``."""
+        """Rounds ``first``..``last`` over the message in the ring, until a
+        find below the chunk is published; returns the rounds run.
+        ``kw_table`` holds the folded K+W of each round, None where W and K
+        are added separately; :meth:`fixed_word` writes the words in ``fixed``."""
         ring = self.ring
         for t in range(first, last + 1):
+            if min(self.finds) < self.pos:
+                return t - first
             if t in fixed:
                 self.fixed_word(t, ring[t & 15])
             elif t >= 16:
@@ -329,12 +332,14 @@ class _Lanes:
         for reg, add, dst in zip(self.regs, base, out):
             np.add(reg, add, dst)
 
-    def chunk(self, pos: int) -> tuple[list, int]:
+    def chunk(self, pos: int) -> tuple[list, int] | None:
         """Hash every lane, lane i at nonce ``(pos + i) mod 2^32``, and filter
         on digest word 7: the ascending indices of the lanes that pass, and
         the rounds each lane ran.  Lanes past the range's end run too; the
-        scan loop referees and counts none of them."""
+        scan loop referees and counts none of them.  None, abandoned, once a
+        find below ``pos`` is published: no lane would be counted."""
         work, s, n, ring = self.work, self.s, self.nonces, self.ring
+        self.pos = pos
         np.add(self.offsets, np.uint32(pos), n)  # uint32 addition wraps at 2^32
         midstate = work.midstate
         rounds = 0
@@ -378,6 +383,8 @@ class _Lanes:
         else:
             rounds += self.compress(self.kw3)
             e60 = self.regs[7]
+        if min(self.finds) < pos:
+            return None
         # digest word 7 byteswapped is the hash's top limb; the referee decides ties
         word7 = np.add(e60, np.uint32(sha.IV.h), self.t1)
         return np.nonzero(word7.byteswap(inplace=True) <= self.top_limb)[0].tolist(), rounds
@@ -395,19 +402,21 @@ def complete_nonce(work: PreparedWork, nonce: int) -> bytes:
 def _scan_range(work, starts: range, s, chunk, finds, idx, owner) -> tuple:
     """Scan the chunks of ``chunk`` nonces that begin at ``starts``, in
     order, up to the span's first find, which it publishes in
-    ``finds[idx]``, the first start above any find there, or the first
-    chunk after the scan's process ``owner`` has died.  No lane past
-    ``starts.stop - 1`` reaches the referee or the report.
+    ``finds[idx]``, the first chunk above any find there, even mid-chunk,
+    or the first chunk after the scan's process ``owner`` has died.  No
+    lane past ``starts.stop - 1`` reaches the referee or the report.
     The report holds nothing per chunk: the find, the rounds each lane ran,
     and each referee'd survivor as ``(nonce, extra rounds, passed round 61)``."""
-    lanes = _Lanes(work, s, min(chunk, starts.stop - starts.start))
+    lanes = _Lanes(work, s, min(chunk, starts.stop - starts.start), finds)
     stage2_active = work.target < WORD6_TARGET_BOUND
     per_lane, survivors = 0, []
     for pos in starts:
         # a span in a child stops once its parent, the owner, has died
         if min(finds) < pos or owner not in (os.getpid(), os.getppid()):
             break
-        candidates, per_lane = lanes.chunk(pos)
+        if (hashed := lanes.chunk(pos)) is None:  # a lower find was published
+            break
+        candidates, per_lane = hashed
         # the last chunk's lanes past the range's end are not refereed
         for nonce in (pos + lane for lane in candidates if pos + lane < starts.stop):
             digest = complete_nonce(work, nonce)  # scalar referee
@@ -485,17 +494,17 @@ def scan(
     span ``k mod spans``, with ``min(threads, chunks, CPUS)`` spans (one
     where the OS has no ``fork``); each span walks its chunks in ascending
     order.  A span publishes its find with one aligned store to its own
-    32-bit slot of a shared anonymous ``mmap``, and stops before any chunk
-    that starts above a published find: every chunk at or below the winner
-    is scanned, so the minimum find is the smallest qualifying nonce.  The
-    counters cover ``nonce_lo`` up to the winner, or the whole range: as
-    one span does not consume the lanes past its find, chunks run above the
-    winner are not counted, and every thread count gives the same result.
-    Each child sends its report back through a pipe.  No child outlives
-    the call: a child whose span raises makes the scan raise, and if the
-    calling thread raises, the children are killed and reaped.  If the
-    calling process is killed, which skips that cleanup, each child stops
-    before its next chunk and exits.
+    32-bit slot of a shared anonymous ``mmap``, and abandons its chunk at
+    the next round once a find below the chunk's start is published: every
+    chunk at or below the winner is scanned, so the minimum find is the
+    smallest qualifying nonce.  The counters cover ``nonce_lo`` up to the
+    winner, or the whole range: as one span does not consume the lanes past
+    its find, chunks run above the winner are not counted, and every thread
+    count gives the same result.  Each child sends its report back through
+    a pipe.  No child outlives the call: a child whose span raises makes the
+    scan raise, and if the calling thread raises, the children are killed
+    and reaped.  If the calling process is killed, which skips that cleanup,
+    each child stops before its next chunk and exits.
     """
     if not (0 <= nonce_lo <= sha.MASK32 and 0 <= nonce_hi <= sha.MASK32):
         raise ValueError(f"nonces must lie in the 32-bit range [0, {sha.MASK32}], "

@@ -30,6 +30,9 @@ MODE_SETS = {"early-exit": FULL, "generic": GENERIC}
 # One header at target 2^248: about one find per 256 nonces.
 _SPLIT_WORK = kern.prepare_header_work(random.Random(SEED + 46).randbytes(80), 1 << 248)
 
+# A span's view of the published finds before any span has found.
+_NO_FINDS = (sha.MASK32,)
+
 @st.composite
 def _cut_range(draw):
     """``lo``, ``hi`` and a cut ``k`` in ``lo..hi+1``; the range may be empty."""
@@ -81,6 +84,73 @@ def _assert_dealt(spans, lo, hi, chunk):
         range(lo + idx * chunk, hi + 1, parts * chunk) for idx in range(parts)]
     # range equality compares elements, so the stop is checked on its own
     assert all(stop == hi + 1 and c == chunk for _, stop, c in spans)
+
+@pytest.fixture
+def paced_scan(tmp_path, monkeypatch):
+    """``run(work, lo, hi, s, spans, chunk, plan)`` scans on ``spans`` of
+    three CPUs and returns the result and, for each chunk k that ran,
+    ``{k: (outcome, rounds run)}``, logged to a file from whichever span's
+    process ran it: the outcome is "abandoned" when ``chunk`` returned
+    None, else "hashed".  Chunk k pauses in its tenth round until
+    ``plan[k]`` holds: ``("find", n)``, a find at most ``n`` is published,
+    or ``("paused", j, ...)``, chunks j, ... are pausing in theirs; after
+    30 s of pausing the scan fails."""
+    path = tmp_path / "chunks"
+    scan = {}  # the lo, chunk and plan of the running scan
+
+    def note(*words):  # appends from any span's process
+        with open(path, "a") as log:
+            log.write(" ".join(map(str, words)) + "\n")
+
+    def log():
+        return [line.split() for line in path.read_text().splitlines()]
+
+    def holds(lanes, kind, *values):
+        if kind == "find":
+            return min(lanes.finds) <= values[0]
+        return {int(k) for word, k, *_ in log() if word == "paused"} >= set(values)
+
+    class Paced(kern._Lanes):
+        def chunk(self, pos):
+            self.k, self.rounds_run = (pos - scan["lo"]) // scan["chunk"], 0
+            note("start", self.k)
+            hashed = super().chunk(pos)
+            note("abandoned" if hashed is None else "hashed", self.k, self.rounds_run)
+            return hashed
+
+        def round(self, *args):
+            self.rounds_run += 1
+            if self.rounds_run == 10 and self.k in scan["plan"]:
+                note("paused", self.k)
+                deadline = time.monotonic() + 30
+                while not holds(self, *scan["plan"][self.k]):
+                    assert time.monotonic() < deadline, (self.k, scan["plan"][self.k])
+                    time.sleep(0.001)
+            super().round(*args)
+
+    def run(work, lo, hi, s, spans, chunk, plan):
+        path.write_text("")
+        scan.update(lo=lo, chunk=chunk, plan=plan)
+        res = kern.scan(work, lo, hi, improvements=s, threads=spans, chunk=chunk)
+        entries = log()
+        outcomes = {int(k): (word, int(ran[0])) for word, k, *ran in entries if ran}
+        assert sorted(outcomes) == sorted(int(k) for word, k, *_ in entries if word == "start")
+        return res, outcomes
+
+    monkeypatch.setattr(kern, "_Lanes", Paced)
+    monkeypatch.setattr(kern, "CPUS", 3)
+    return run
+
+def _two_finds(chunk):
+    """``(work, lo, lower, higher)``: a work at target 2^248 and a range start
+    whose first two finds lie in chunks 1 and 2 of ``chunk`` nonces."""
+    header, target = random.Random(SEED + 70).randbytes(80), 1 << 248
+    finds = [n for n in range(1 << 13) if hdr.meets_target(_dsha(_header_at(header, n)), target)]
+    prev, low, high = next(trio for trio in zip(finds, finds[1:], finds[2:])
+                           if trio[2] - trio[1] < chunk and trio[1] - trio[0] > 2 * chunk)
+    lo = high - 2 * chunk - (high - low) // 2
+    assert prev < lo and lo + chunk <= low < lo + 2 * chunk <= high < lo + 3 * chunk
+    return kern.prepare_header_work(header, target), lo, low, high
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -517,6 +587,47 @@ class TestScanDecisions:
             None, costs.executed_rounds(FULL) + 1, [])
         assert list(finds) == [sha.MASK32, nonce - 100]
 
+    @pytest.mark.parametrize("s", [FULL, costs.ImprovementSet.none()], ids=str)
+    def test_abandoned_chunks_change_no_result(self, paced_scan, s):
+        # a find is published while chunks above it run: each returns None
+        # at its next round, and 1, 2 and 3 spans give one ScanResult, field
+        # for field. The plans pin the timing: a chunk above the find pauses
+        # until the find is published, and the find's chunk until the chunks
+        # above it are pausing
+        chunk = 64
+        nonce = int.from_bytes(GENESIS[76:80], "big")
+        genesis = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
+        two, lo2, low, high = _two_finds(chunk)
+        cases = [
+            # the find in span 0's chunk 0; each child's first chunk lies above it
+            (genesis, nonce - 10, nonce, {
+                2: ({0: ("paused", 1), 1: ("find", nonce)}, {1}),
+                3: ({0: ("paused", 1, 2), 1: ("find", nonce), 2: ("find", nonce)}, {1, 2})}),
+            # the find in a child's chunk 1; span 0's next chunk lies above it
+            (genesis, nonce - chunk - 10, nonce, {
+                2: ({1: ("paused", 2), 2: ("find", nonce)}, {2}),
+                3: ({1: ("paused", 2, 3), 2: ("find", nonce), 3: ("find", nonce)}, {2, 3})}),
+            # the lower find in chunk 1, the higher in chunk 2, published while
+            # chunk 1 runs: it abandons nothing below it. On three spans span
+            # 0's chunk 3 lies above both
+            (two, lo2, low, {
+                2: ({1: ("find", high)}, set()),
+                3: ({1: ("find", high), 2: ("paused", 3), 3: ("find", high)}, {3})}),
+        ]
+        for work, lo, winner, plans in cases:
+            hi = lo + 6 * chunk + 17
+            whole = ("hashed", costs.executed_rounds(s))
+            one, outcomes = paced_scan(work, lo, hi, s, 1, chunk, {})
+            assert one.found.nonce == winner and one.nonces_tried == winner - lo + 1
+            assert set(outcomes.values()) == {whole}
+            for spans, (plan, abandoned) in plans.items():
+                got, outcomes = paced_scan(work, lo, hi, s, spans, chunk, plan)
+                assert got == one, (lo, spans)
+                # paused in round 10, the chunks above the find run no round 11
+                assert outcomes == {k: ("abandoned", 10) if k in abandoned else whole
+                                    for k in outcomes}, (lo, spans)
+                assert set(plan) | abandoned <= set(outcomes)
+
     def test_span_stops_once_its_owner_died(self):
         # an owner that is neither the span's process nor its parent (no
         # process has pid 0) has died: the span runs no chunk
@@ -943,6 +1054,17 @@ def _cover_sets():
         sets.add(min((s for s in LANE_SETS if f in s), key=lambda s: len(s.flags)))
     return sorted(sets, key=str)
 
+class _FindsAfter:
+    """A stand-in for a span's view of the published finds: its minimum is
+    0xFFFFFFFF until its ``k``-th read and ``nonce`` from then on."""
+
+    def __init__(self, k, nonce):
+        self.k, self.nonce, self.reads = k, nonce, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter([sha.MASK32 if self.reads < self.k else self.nonce])
+
 def _word7_lanes(work, pos, width):
     """The lanes ``i < width`` whose nonce ``(pos + i) mod 2^32`` passes the
     word-7 filter, by hashlib: digest word 7 at most the target's top limb."""
@@ -951,10 +1073,11 @@ def _word7_lanes(work, pos, width):
         _dsha(_header_at(work.header, (pos + i) & sha.MASK32))[28:32], "little") <= limb]
 
 class TestLaneSeam:
-    """``_Lanes(work, s, width)`` and its ``chunk(pos)``, the one seam
+    """``_Lanes(work, s, width, finds)`` and its ``chunk(pos)``, the one seam
     between the lanes and the scan loop: lane i hashes nonce ``(pos + i)
     mod 2^32``, and a chunk returns exactly the lanes whose digest word 7
-    is at most the target's top limb, and the rounds each lane ran."""
+    is at most the target's top limb, and the rounds each lane ran, or
+    None once ``finds`` holds a find below ``pos``."""
 
     COVER = _cover_sets()
 
@@ -973,18 +1096,54 @@ class TestLaneSeam:
             # about 1 lane in 64 passes at a target near 2^250
             work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
             pos = rng.randrange((1 << 32) - 377)
-            lanes = kern._Lanes(work, s, 300)
+            lanes = kern._Lanes(work, s, 300, _NO_FINDS)
             passed += len(self._check(lanes, work, pos, 300, s))
             # the same lanes from 77 below 2^32 wrap to nonces 0..222
             passed += len(self._check(lanes, work, (1 << 32) - 77, 300, s))
         assert passed > 2 * len(self.COVER)
+
+    def test_chunk_abandons_at_the_next_round(self):
+        # a chunk reads the finds before each round and once after the last;
+        # a find below pos seen at the k-th read abandons it there, so it
+        # returns None having run k - 1 rounds
+        rng = random.Random(SEED + 62)
+        work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
+        pos = rng.randrange(1, (1 << 32) - 64)
+
+        class Counted(kern._Lanes):
+            ran = 0
+
+            def round(self, *args):
+                self.ran += 1
+                super().round(*args)
+
+        for s in (FULL, costs.ImprovementSet.none()):
+            reads = costs.executed_rounds(s) + 1
+            for k in (1, 2, 61, reads - 1, reads):
+                lanes = Counted(work, s, 64, _FindsAfter(k, pos - 1))
+                assert lanes.chunk(pos) is None and lanes.ran == k - 1, (str(s), k)
+            finds = _FindsAfter(reads + 1, pos - 1)
+            lanes = Counted(work, s, 64, finds)
+            self._check(lanes, work, pos, 64, s)
+            assert lanes.ran == reads - 1 and finds.reads == reads, str(s)
+
+    def test_finds_at_or_above_pos_never_abandon(self):
+        # a find at or above the chunk's start, however late it is seen,
+        # leaves the chunk whole: exactly the word-7 filter
+        rng = random.Random(SEED + 63)
+        work = kern.prepare_header_work(rng.randbytes(80), (1 << 250) + rng.getrandbits(248))
+        pos = rng.randrange((1 << 32) - 64)
+        for s in self.COVER:
+            for finds in ((pos,), array.array("I", [sha.MASK32, pos + 5]), _NO_FINDS,
+                          _FindsAfter(2, pos), _FindsAfter(100, pos + 63)):
+                self._check(kern._Lanes(work, s, 64, finds), work, pos, 64, s)
 
     @pytest.mark.parametrize("width", [1, 77, 1 << 14])
     def test_bank_rows_start_on_cache_lines(self, width):
         # numpy's loops ran a chunk about 15% slower with the rows 16 bytes
         # off a 32-byte boundary, so no row may start where malloc happens to
         for s in (FULL, costs.ImprovementSet.none()):
-            lanes = kern._Lanes(_SPLIT_WORK, s, width)
+            lanes = kern._Lanes(_SPLIT_WORK, s, width, _NO_FINDS)
             rows = lanes.regs + lanes.ring + lanes.mids + [
                 lanes.t1, lanes.t2, lanes.ta, lanes.tb, lanes.nonces, lanes.offsets]
             assert len({row.ctypes.data for row in rows}) == (30 if "1" in s else 38)
@@ -1003,8 +1162,8 @@ class TestLaneSeam:
                 out.write(" ".join(map(str, words)) + "\n")
 
         class Recorded(kern._Lanes):
-            def __init__(self, work, s, width):
-                super().__init__(work, s, width)
+            def __init__(self, work, s, width, finds):
+                super().__init__(work, s, width, finds)
                 note("lanes", width)
 
             def chunk(self, pos):
@@ -1037,9 +1196,10 @@ class TestLaneSeam:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_second_backend_scans_like_numpy(self, monkeypatch, cpus):
         # a backend with only the seam's two calls, hashing each lane with
-        # hashlib, scans every range as the numpy lanes do, field for field
+        # hashlib and ignoring the published finds, scans every range as the
+        # numpy lanes do, field for field: abandoning a chunk is optional
         class HashlibLanes:
-            def __init__(self, work, s, width):
+            def __init__(self, work, s, width, finds):
                 self.work, self.s, self.width = work, s, width
 
             def chunk(self, pos):

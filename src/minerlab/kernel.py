@@ -90,6 +90,7 @@ import os
 import pickle
 import signal
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,15 +432,23 @@ def _scan_range(work, starts: range, s, chunk, finds, idx, owner) -> tuple:
     return None, per_lane, survivors
 
 
-def _fork_span(run, idx: int) -> tuple:
-    """Run ``run(idx)`` in a child process: its pid and the read end of the
-    pipe that brings back the pickled report, or a message if the span
-    raised."""
+def _fork_span(run, idx: int, children: dict) -> None:
+    """Run ``run(idx)`` in a child process, entered in ``children[idx]`` as
+    its pid and the read end of the pipe that brings back the pickled
+    report, or a message if the span raised."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    # from Python 3.12 on, os.fork() warns in the parent of a process with
+    # threads; the warning is re-issued once the child is in ``children``,
+    # so a filter that raises it leaves the scan a child to kill and reap
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pid = os.fork()
     if pid:
         os.close(write_end)
-        return pid, os.fdopen(read_end, "rb")
+        children[idx] = pid, os.fdopen(read_end, "rb")
+        for warning in caught:
+            warnings.warn(warning.message)
+        return
     # the child never returns into the caller, never writes to stdout or
     # stderr, and leaves without flushing the buffers it inherited
     try:
@@ -530,7 +539,7 @@ def scan(
     children = {}  # span index -> (pid, pipe from the child) until the child is reaped
     try:
         for idx in range(1, spans):
-            children[idx] = _fork_span(run, idx)
+            _fork_span(run, idx, children)
         reports = [run(0)]
         for idx in range(1, spans):
             reports.append(_join_span(children, idx, spans, nonce_lo + idx * chunk))

@@ -147,21 +147,51 @@ class TestMine:
         assert code == 0
         assert kv(capsys)["header"] == raw.hex()
 
-    def test_genesis_second_nonce_known_answer(self, capsys):
+    # Genesis-header windows of several 16384-nonce chunks, chunk k dealt to
+    # span k mod spans: the window, --target (None: the header's nbits), the
+    # find's nonce and digest prefix or None, and the five counters, which
+    # end at the winner and so are the same on one span and on two
+    COUNTERS = ("nonces_tried", "rounds_executed", "compressions_per_nonce",
+                "stage1_survivors", "stage2_survivors")
+    WINDOWS = [
+        # the find in chunk 3 is dealt to the child, and the parent merges
+        # the child's report
+        ("0x1dab4000", "0x1dacffff", None, ("0x1dac2b7c", "000000000019d668"),
+         (60285, 7354773, "1.906251", 1, 0)),
+        # the find in chunk 2 is span 0's; the child abandons chunk 3 above
+        # span 0's winner once the find is published, uncounted either way
+        ("0x1dab8000", "0x1dacffff", None, ("0x1dac2b7c", "000000000019d668"),
+         (43901, 5355925, "1.906251", 1, 0)),
+        # exhausted: 7 full chunks and a 4,660-nonce chunk 7, which the child
+        # runs at full width; the lanes past the window's end reach neither
+        # the referee nor the counters
+        ("0x1dab4000", "0x1dad1233", "1", None, (119348, 14560457, "1.906250", 1, 0)),
+        # 7.5 chunks up to 0xFFFFFFFF: the last chunk's upper 8,192 lanes
+        # wrap to nonces 0..8191, and neither span referees or counts them
+        ("0xfffe2000", "0xffffffff", "1", None, (122880, 14991360, "1.906250", 0, 0)),
         # of all 2^32 nonces, only 0x1dac2b7c (the genesis block) and
         # 0xebac96be give the genesis header a hash with 32 leading zero bits
-        assert run_cli("mine", "--header", GENESIS_HEADER, "--nonce-start", "0xebac0000",
-                       "--nonce-end", "0xebacffff") == 0
-        report = kv(capsys)
-        assert (report["nonce"], report["nonces_tried"]) == ("0xebac96be", "38591")
-        assert report["digest"].startswith("00000000ea532922")
-        assert report["target"] == f"{hdr.decode_nbits(0x1D00FFFF):064x}"
+        ("0xebac0000", "0xebacffff", None, ("0xebac96be", "00000000ea532922"),
+         (38591, 4708105, "1.906251", 1, 0)),
+    ]
 
-    def test_threads_match_single(self, capsys):
-        assert run_cli("mine", *FIXTURE, "--threads", "4", *FIXTURE_END) == 0
-        multi = kv(capsys)["nonce"]
-        assert run_cli("mine", *FIXTURE, "--threads", "1", *FIXTURE_END) == 0
-        assert kv(capsys)["nonce"] == multi
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_window_known_answers(self, threads, monkeypatch, capsys):
+        monkeypatch.setattr(kern, "CPUS", 2)
+        for start, end, target, find, counters in self.WINDOWS:
+            code = run_cli("mine", "--header", GENESIS_HEADER, "--threads", threads,
+                           "--nonce-start", start, "--nonce-end", end,
+                           *(("--target", target) if target else ()))
+            report = kv(capsys)
+            assert report["target"] == (f"{int(target, 16):064x}" if target
+                                        else f"{hdr.decode_nbits(0x1D00FFFF):064x}")
+            assert (report["threads"], report["chunk"]) == (threads, "16384")
+            assert [report[k] for k in self.COUNTERS] == list(map(str, counters)), start
+            if find is None:
+                assert (code, report["result"]) == (1, "exhausted"), start
+            else:
+                assert (code, report["result"], report["nonce"]) == (0, "found", find[0])
+                assert report["digest"].startswith(find[1])
 
 class TestModeMapping:
     """``mine --mode`` picks the improvement set: early-exit keeps flag 2,
@@ -528,6 +558,18 @@ class TestUsage:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             assert proc.stderr.read() == ""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets a CPU affinity")
+    def test_one_cpu_affinity_runs_one_span(self):
+        # kernel.CPUS reads the affinity mask at import: a process allowed one
+        # CPU defaults to one thread, and runs one span at the default chunk
+        code = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "import minerlab.cli as cli; "
+                f"sys.exit(cli.main(['mine', *{FIXTURE}, *{FIXTURE_END}]))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert "threads: 1" in lines and "chunk: 16384" in lines
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
     def test_ctrl_c_ends_a_scan_in_one_line(self):

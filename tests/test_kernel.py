@@ -9,6 +9,8 @@ import struct
 import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,25 +53,51 @@ def _header_at(base: bytes, nonce_word: int) -> bytes:
     # nonce bytes read big-endian
     return base[:76] + nonce_word.to_bytes(4, "big")
 
+def _lane_rounds(s) -> int:
+    """The rounds each lane of set ``s`` runs: the model's executed rounds
+    and, under flag 4, the incremental round 3."""
+    return costs.executed_rounds(s) + ("4" in s)
+
+class _SharedLog:
+    """Lines of words appended in whichever process a span runs, a forked
+    child's included, and read back by the test: a file, as a child's
+    memory is lost with it."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def clear(self):
+        self.path.write_text("")
+
+    def note(self, *words):
+        with open(self.path, "a") as log:
+            log.write(" ".join(map(str, words)) + "\n")
+
+    def lines(self) -> list:
+        return [line.split() for line in self.path.read_text().splitlines()]
+
+    def take(self) -> list:
+        """The lines noted since the last clear, which this clears."""
+        lines = self.lines()
+        self.clear()
+        return lines
+
 @pytest.fixture
 def span_log(tmp_path, monkeypatch):
     """Reads the ``(starts, stop, chunk)`` of every span scanned since the
     last read, ``starts`` the range of its chunks' first nonces and ``stop``
     that range's stop, sorted by first chunk, in whichever process scanned
-    it: ``_scan_range`` is wrapped to append one line per span to a file."""
-    path = tmp_path / "spans"
-    path.touch()
+    it: ``_scan_range`` is wrapped to note one line per span."""
+    log = _SharedLog(tmp_path / "spans")
     scan_range = kern._scan_range
 
     def recording(work, starts, s, chunk, *rest):
-        with open(path, "a") as log:
-            log.write(f"{starts.start} {starts.stop} {starts.step} {chunk}\n")
+        log.note(starts.start, starts.stop, starts.step, chunk)
         return scan_range(work, starts, s, chunk, *rest)
 
     def read():
-        lines = path.read_text().splitlines()
-        path.write_text("")
-        spans = sorted(tuple(map(int, line.split())) for line in lines)
+        spans = sorted(tuple(map(int, words)) for words in log.take())
         return [(range(*span[:3]), span[1], span[3]) for span in spans]
 
     monkeypatch.setattr(kern, "_scan_range", recording)
@@ -95,33 +123,26 @@ def paced_scan(tmp_path, monkeypatch):
     ``plan[k]`` holds: ``("find", n)``, a find at most ``n`` is published,
     or ``("paused", j, ...)``, chunks j, ... are pausing in theirs; after
     30 s of pausing the scan fails."""
-    path = tmp_path / "chunks"
+    log = _SharedLog(tmp_path / "chunks")
     scan = {}  # the lo, chunk and plan of the running scan
-
-    def note(*words):  # appends from any span's process
-        with open(path, "a") as log:
-            log.write(" ".join(map(str, words)) + "\n")
-
-    def log():
-        return [line.split() for line in path.read_text().splitlines()]
 
     def holds(lanes, kind, *values):
         if kind == "find":
             return min(lanes.finds) <= values[0]
-        return {int(k) for word, k, *_ in log() if word == "paused"} >= set(values)
+        return {int(k) for word, k, *_ in log.lines() if word == "paused"} >= set(values)
 
     class Paced(kern._Lanes):
         def chunk(self, pos):
             self.k, self.rounds_run = (pos - scan["lo"]) // scan["chunk"], 0
-            note("start", self.k)
+            log.note("start", self.k)
             hashed = super().chunk(pos)
-            note("abandoned" if hashed is None else "hashed", self.k, self.rounds_run)
+            log.note("abandoned" if hashed is None else "hashed", self.k, self.rounds_run)
             return hashed
 
         def round(self, *args):
             self.rounds_run += 1
             if self.rounds_run == 10 and self.k in scan["plan"]:
-                note("paused", self.k)
+                log.note("paused", self.k)
                 deadline = time.monotonic() + 30
                 while not holds(self, *scan["plan"][self.k]):
                     assert time.monotonic() < deadline, (self.k, scan["plan"][self.k])
@@ -129,10 +150,10 @@ def paced_scan(tmp_path, monkeypatch):
             super().round(*args)
 
     def run(work, lo, hi, s, spans, chunk, plan):
-        path.write_text("")
+        log.clear()
         scan.update(lo=lo, chunk=chunk, plan=plan)
         res = kern.scan(work, lo, hi, improvements=s, threads=spans, chunk=chunk)
-        entries = log()
+        entries = log.lines()
         outcomes = {int(k): (word, int(ran[0])) for word, k, *ran in entries if ran}
         assert sorted(outcomes) == sorted(int(k) for word, k, *_ in entries if word == "start")
         return res, outcomes
@@ -354,71 +375,18 @@ class TestScanDecisions:
         for probe in range(max(0, n - 3), n):
             assert not hdr.meets_target(sha.sha256d(_header_at(base, probe)), 1 << 242)
 
-    def test_partition_determinism(self):
-        rng = random.Random(SEED + 17)
-        base = _rand_header(rng)
-        work = kern.prepare_header_work(base, 1 << 241)
-        whole = kern.scan(work, 0, 1 << 18)
-        assert whole.found is not None
-        lo = 0
-        partial_founds = []
-        for hi in (1 << 14, 3 << 14, 1 << 17, 1 << 18):
-            r = kern.scan(work, lo, hi, chunk=5000)
-            if r.found:
-                partial_founds.append(r.found.nonce)
-            lo = hi + 1
-        assert min(partial_founds) == whole.found.nonce
-
-    def test_threads_agree_with_single(self):
-        rng = random.Random(SEED + 18)
-        base = _rand_header(rng)
-        work = kern.prepare_header_work(base, 1 << 241)
-        one = kern.scan(work, 0, 1 << 18, threads=1)
-        four = kern.scan(work, 0, 1 << 18, threads=4)
-        assert one.found is not None
-        assert four.found is not None
-        assert one.found.nonce == four.found.nonce
-        assert one.found.digest == four.found.digest
-
     @staticmethod
     def _counters(res):
         return (res.nonces_tried, res.rounds_executed,
                 res.stage1_survivors, res.stage2_survivors)
 
-    def test_threads_keep_counters_exact(self):
-        base = random.Random(SEED + 36).randbytes(80)
-        work = kern.prepare_header_work(base, target=1)
-        one = kern.scan(work, 0, (1 << 16) - 1, threads=1, chunk=4096)
-        three = kern.scan(work, 0, (1 << 16) - 1, threads=3, chunk=4096)
-        assert one.found is None and three.found is None
-        assert one.nonces_tried == 1 << 16
-        assert self._counters(three) == self._counters(one)
-
-    def test_winner_in_highest_subrange(self, monkeypatch, span_log):
-        # the only winner lies in the last chunk, chunk 8, dealt to the
-        # highest of three spans, which a child process scans; the calling
-        # thread scans chunks 0, 3 and 6 and finds nothing
-        nonce = int.from_bytes(GENESIS[76:80], "big")
-        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        lo, hi = nonce - 8191 - 50, nonce + 50
-        one = kern.scan(work, lo, hi, threads=1, chunk=1024)
-        span_log()
-        monkeypatch.setattr(kern, "CPUS", 3)
-        three = kern.scan(work, lo, hi, threads=3, chunk=1024)
-        spans = span_log()
-        _assert_dealt(spans, lo, hi, 1024)
-        assert spans[-1][0][-1] == lo + 8 * 1024 <= nonce <= hi
-        assert three.found == one.found
-        assert three.found.digest == _dsha(GENESIS)
-        assert one.nonces_tried == 8192 + 50
-        assert self._counters(three) == self._counters(one)
-
-    @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6)])
+    @pytest.mark.parametrize("cpus, threads", [(1, 2), (2, 6), (3, 5)])
     def test_spans_capped_at_cpus(self, monkeypatch, span_log, forks, cpus, threads):
         # more threads asked for than the process has CPUs: one span per CPU,
         # the calling thread's and one per child process, dealt the range's
-        # chunks at the full chunk; the winner is in the last chunk, so the
-        # winner and counters are the one-thread scan's
+        # chunks at the full chunk, on three CPUs too; the winner is the
+        # last lane of chunk 7, so the winner and counters are the
+        # one-thread scan's
         nonce = int.from_bytes(GENESIS[76:80], "big")
         work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
         lo, hi = nonce - 8191, nonce + 100
@@ -448,22 +416,6 @@ class TestScanDecisions:
         assert one.nonces_tried == 64
         assert kern.scan(work, nonce - 63, nonce, threads=64, chunk=32) == one
         assert len(forks) == 1
-
-    def test_threads_past_cpu_count_keep_the_chunk(self, monkeypatch, span_log):
-        # 64 threads asked for on two CPUs: two spans dealt the range's
-        # chunks, each running the default chunk, and the one-thread result
-        nonce = int.from_bytes(GENESIS[76:80], "big")
-        work = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
-        lo, hi = nonce - 40000, nonce + 100
-        one = kern.scan(work, lo, hi, threads=1)
-        span_log()
-        monkeypatch.setattr(kern, "CPUS", 2)
-        many = kern.scan(work, lo, hi, threads=64)
-        spans = span_log()
-        assert len(spans) == 2
-        _assert_dealt(spans, lo, hi, kern.DEFAULT_CHUNK)
-        assert many.found == one.found and one.found.digest == _dsha(GENESIS)
-        assert self._counters(many) == self._counters(one)
 
     def test_span_claims_under_contention(self, monkeypatch):
         # 32 threads asked for on eight CPUs: eight spans, the calling
@@ -570,7 +522,7 @@ class TestScanDecisions:
         work = kern.prepare_header_work(random.Random(SEED + 48).randbytes(80), target=1)
         for chunks in (1, 64):
             assert kern.scan(work, 0, 32 * chunks - 1, chunk=32).nonces_tried == 32 * chunks
-        assert reports == [(None, costs.executed_rounds(FULL) + 1, [])] * 2
+        assert reports == [(None, _lane_rounds(FULL), [])] * 2
 
     def test_span_publishes_and_stops_on_finds(self):
         # a span stores its find in its own slot, and stops before a chunk
@@ -584,7 +536,7 @@ class TestScanDecisions:
         # a find at nonce - 100 ends span 0 before its chunk at nonce - 72
         finds[1] = nonce - 100
         assert kern._scan_range(work, starts, FULL, 64, finds, 0, owner) == (
-            None, costs.executed_rounds(FULL) + 1, [])
+            None, _lane_rounds(FULL), [])
         assert list(finds) == [sha.MASK32, nonce - 100]
 
     @pytest.mark.parametrize("s", [FULL, costs.ImprovementSet.none()], ids=str)
@@ -692,6 +644,34 @@ class TestScanDecisions:
         assert len(forks) == 1 and time.monotonic() - started < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+                        reason="reads /proc/self/task/<tid>/children")
+    def test_fork_warning_leaves_no_child(self, monkeypatch):
+        # from Python 3.12 on os.fork() warns in the parent of a process
+        # with threads, and an "error" filter raises the warning there: the
+        # scan raises it too, having killed and reaped the child it forked
+        fork = os.fork
+
+        def warning():
+            pid = fork()
+            if pid:
+                warnings.warn("multi-threaded fork", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(kern.os, "fork", warning)
+        monkeypatch.setattr(kern, "CPUS", 2)
+        work = kern.prepare_header_work(GENESIS, 1)
+        try:
+            with pytest.raises(DeprecationWarning):
+                kern.scan(work, 0, sha.MASK32, threads=2)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        finally:  # a child the scan lost would hash 2^31 nonces
+            for task in Path("/proc/self/task").iterdir():
+                for pid in map(int, (task / "children").read_text().split()):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
     def test_children_write_nothing(self, monkeypatch, forks, tmp_path, capfd):
         # a child leaves with os._exit: it writes nothing to stdout or stderr
@@ -983,10 +963,9 @@ class TestImprovementSubsets:
         for s in LANE_SETS:
             res = kern.scan(work, 1 << 20, (1 << 20) + 4095, improvements=s)
             assert res.found is None and res.nonces_tried == 4096
-            incremental = 1 if "4" in s else 0
-            assert res.rounds_executed == 4096 * (costs.executed_rounds(s) + incremental), str(s)
+            assert res.rounds_executed == 4096 * _lane_rounds(s), str(s)
             assert res.compressions_equivalent == float(
-                costs.compression_equivalents(s) + Fraction(incremental, 64)
+                costs.compression_equivalents(s) + Fraction("4" in s, 64)
             ), str(s)
 
 class _UfuncCounter:
@@ -1034,8 +1013,7 @@ class TestCostConvention:
             calls, res = _count_chunk(monkeypatch, s)
             adds = calls["add"] - 1  # less the nonce fill
             assert adds == costs.adder_count(s) + _lane_adder_departures(s), str(s)
-            round3 = 1 if "4" in s else 0
-            assert res.rounds_executed == costs.executed_rounds(s) + round3, str(s)
+            assert res.rounds_executed == _lane_rounds(s), str(s)
         assert _count_chunk(monkeypatch, FULL)[0]["add"] - 1 == 1105
         assert _count_chunk(monkeypatch, costs.ImprovementSet.none())[0]["add"] - 1 == 1793
 
@@ -1086,7 +1064,7 @@ class TestLaneSeam:
         candidates, rounds = lanes.chunk(pos)
         want = _word7_lanes(work, pos, width)
         assert candidates == want, str(s)
-        assert rounds == costs.executed_rounds(s) + ("4" in s), str(s)
+        assert rounds == _lane_rounds(s), str(s)
         return want
 
     def test_candidates_are_the_word7_filter(self):
@@ -1154,26 +1132,21 @@ class TestLaneSeam:
         # last chunk: every span makes one _Lanes and calls chunk once per
         # chunk start, at full width, and the lanes past the range's end
         # reach neither the referee nor the counters
-        log = tmp_path / "log"
-        log.touch()
-
-        def note(*words):  # appends from any span's process
-            with open(log, "a") as out:
-                out.write(" ".join(map(str, words)) + "\n")
+        log = _SharedLog(tmp_path / "log")
 
         class Recorded(kern._Lanes):
             def __init__(self, work, s, width, finds):
                 super().__init__(work, s, width, finds)
-                note("lanes", width)
+                log.note("lanes", width)
 
             def chunk(self, pos):
-                note("chunk", pos)
+                log.note("chunk", pos)
                 return super().chunk(pos)
 
         complete_nonce = kern.complete_nonce
 
         def referee(work, nonce):
-            note("referee", nonce)
+            log.note("referee", nonce)
             return complete_nonce(work, nonce)
 
         monkeypatch.setattr(kern, "_Lanes", Recorded)
@@ -1188,8 +1161,7 @@ class TestLaneSeam:
         for threads in (1, 2):
             res = kern.scan(work, lo, hi, chunk=16, threads=threads)
             assert (res.found, res.nonces_tried, res.stage1_survivors) == (None, hi - lo + 1, 0)
-            calls = sorted(line.split() for line in log.read_text().splitlines())
-            log.write_text("")
+            calls = sorted(log.take())
             assert calls == sorted([["chunk", str(pos)] for pos in range(lo, hi + 1, 16)]
                                    + [["lanes", "16"]] * threads)
 
@@ -1203,8 +1175,7 @@ class TestLaneSeam:
                 self.work, self.s, self.width = work, s, width
 
             def chunk(self, pos):
-                return _word7_lanes(self.work, pos, self.width), (
-                    costs.executed_rounds(self.s) + ("4" in self.s))
+                return _word7_lanes(self.work, pos, self.width), _lane_rounds(self.s)
 
         nonce = int.from_bytes(GENESIS[76:80], "big")
         genesis = kern.prepare_header_work(GENESIS, hdr.decode_nbits(0x1D00FFFF))
